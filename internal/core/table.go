@@ -84,6 +84,25 @@ func (t *AdaptiveTable) Set(lid ib.LID, port ib.PortID) error {
 	return nil
 }
 
+// SetRange programs the consecutive entries first, first+1, ... with
+// ports. Only entries whose value changes are written, and only their
+// blocks' decodes are invalidated: the decode is a function of the
+// block's entries, so a block rewritten with the values it holds keeps
+// its cached option set.
+func (t *AdaptiveTable) SetRange(first ib.LID, ports []ib.PortID) error {
+	if end := int(first) + len(ports); end > t.linear.Len() {
+		return fmt.Errorf("core: LIDs %d..%d beyond table size %d", first, end-1, t.linear.Len())
+	}
+	for i, p := range ports {
+		lid := first + ib.LID(i)
+		if t.linear.Get(lid) != p {
+			t.linear.Set(lid, p) // in range: checked above
+			t.blocks[int(lid)>>t.lmc].valid = false
+		}
+	}
+	return nil
+}
+
 // Get reads one linear entry (subnet-manager view).
 func (t *AdaptiveTable) Get(lid ib.LID) ib.PortID { return t.linear.Get(lid) }
 

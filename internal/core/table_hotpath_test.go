@@ -137,3 +137,44 @@ func BenchmarkLookup(b *testing.B) {
 		}
 	}
 }
+
+// TestSetRangeUnchangedKeepsDecode: rewriting a block with the values
+// it already holds is no change, so the cached decode (and the
+// adaptive slice handed to earlier lookups) stays; a changed value
+// re-decodes only its own block.
+func TestSetRangeUnchangedKeepsDecode(t *testing.T) {
+	plan, tab := plan2(t)
+	base := plan.BaseLID(5)
+	if err := tab.SetRange(base, []ib.PortID{7, 2, 3, 4, 1, 2, 2, 2}); err != nil {
+		t.Fatal(err)
+	}
+	dlid, next := plan.DLIDFor(5, true), plan.DLIDFor(6, true)
+	_, before, err := tab.Lookup(dlid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, nextBefore, err := tab.Lookup(next)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tab.SetRange(base, []ib.PortID{7, 2, 3, 4, 1, 2, 2, 5}); err != nil {
+		t.Fatal(err)
+	}
+	_, after, err := tab.Lookup(dlid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &after[0] != &before[0] {
+		t.Fatal("unchanged block lost its cached decode")
+	}
+	_, nextAfter, err := tab.Lookup(next)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &nextAfter[0] == &nextBefore[0] || len(nextAfter) != 2 || nextAfter[1] != 5 {
+		t.Fatalf("changed block kept the stale decode: %v", nextAfter)
+	}
+	if err := tab.SetRange(ib.LID(tab.Len()-1), []ib.PortID{1, 2}); err == nil {
+		t.Fatal("SetRange past the table end accepted")
+	}
+}

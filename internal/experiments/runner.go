@@ -221,7 +221,7 @@ func RunObserved(spec RunSpec, observe func(*fabric.Network)) (RunResult, error)
 		if err != nil {
 			return RunResult{}, err
 		}
-		dog = faults.NewWatchdog(net, spec.Faults.Watchdog)
+		dog = faults.NewWatchdog(net, spec.Faults.WatchdogFor(len(net.Switches)))
 		dog.Start()
 	}
 	gen, err := traffic.NewGenerator(net, spec.Traffic)

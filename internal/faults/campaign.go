@@ -20,6 +20,7 @@ import (
 	"strings"
 
 	"ibasim/internal/sim"
+	"ibasim/internal/subnet"
 )
 
 // Kind enumerates campaign event types.
@@ -107,6 +108,55 @@ type Campaign struct {
 	// take defaults. Watchdog.Fatal defaults to false here — runners
 	// that want a loud failure set it.
 	Watchdog WatchdogConfig
+}
+
+// stagedOptions returns the staged-recovery timing the campaign runs
+// under: its sweep directive, or the subnet defaults.
+func (c *Campaign) stagedOptions() subnet.StagedOptions {
+	st := subnet.DefaultStagedOptions()
+	if c.SweepDelay > 0 || c.PerSwitchDelay > 0 {
+		st.SweepDelay, st.PerSwitchDelay = c.SweepDelay, c.PerSwitchDelay
+	}
+	return st
+}
+
+// WatchdogFor returns the watchdog configuration for a run of the
+// campaign on a network of numSwitches switches. It is c.Watchdog,
+// except when the campaign reconfigures and sets no horizon: then the
+// default horizon is raised, if needed, to cover a whole staged sweep
+// (SweepDelay + (numSwitches+1)*PerSwitchDelay) plus one sample
+// period. A packet parked on a stale table waits for its switch's
+// turn in the sweep; that is recovery working, not a stall, and on
+// large fabrics the sweep outlasts the default horizon.
+func (c *Campaign) WatchdogFor(numSwitches int) WatchdogConfig {
+	w := c.Watchdog
+	if w.Horizon > 0 || !c.reconfigures() {
+		return w
+	}
+	st := c.stagedOptions()
+	sample := w.SampleEvery
+	if sample <= 0 {
+		sample = defaultSampleEvery
+	}
+	w.Horizon = defaultHorizon
+	if sweep := st.SweepDelay + sim.Time(numSwitches+1)*st.PerSwitchDelay + sample; sweep > w.Horizon {
+		w.Horizon = sweep
+	}
+	return w
+}
+
+// reconfigures reports whether the campaign schedules any staged
+// recovery.
+func (c *Campaign) reconfigures() bool {
+	if c.AutoReconfig > 0 {
+		return true
+	}
+	for _, e := range c.Events {
+		if e.Kind == Reconfig {
+			return true
+		}
+	}
+	return false
 }
 
 // Parse reads the compact campaign spec grammar: semicolon-separated

@@ -416,3 +416,29 @@ func TestExpandDeterministic(t *testing.T) {
 		t.Fatal("different fault seeds produced identical runs")
 	}
 }
+
+// TestWatchdogHorizonOverrides pins when WatchdogFor keeps the
+// campaign's own settings: an explicit horizon, a campaign without
+// recovery, and a fabric small enough for the default to cover the
+// sweep all leave the horizon where it was.
+func TestWatchdogHorizonOverrides(t *testing.T) {
+	for _, tc := range []struct {
+		spec     string
+		switches int
+		want     int64
+	}{
+		{"rand:2:1000@0-5000; autoreconfig:100; watchdog:5000:300000", 128, 300_000},
+		{"rand:2:1000@0-5000", 128, 0},
+		{"rand:2:1000@0-5000; autoreconfig:100", 16, 100_000},
+		{"down@100:0-1; reconfig@200", 200, 5_000 + 201*1_000 + 5_000},
+		{"rand:2:1000@0-5000; autoreconfig:100; sweep:1000:2000", 64, 1_000 + 65*2_000 + 5_000},
+	} {
+		camp, err := faults.Parse(tc.spec)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.spec, err)
+		}
+		if got := camp.WatchdogFor(tc.switches).Horizon; int64(got) != tc.want {
+			t.Errorf("%s on %d switches: horizon %d, want %d", tc.spec, tc.switches, got, tc.want)
+		}
+	}
+}

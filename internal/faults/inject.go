@@ -18,6 +18,12 @@ type Injector struct {
 	ropts subnet.Options
 	sweep subnet.StagedOptions
 
+	// routed is the routing the last staged recovery installed. A
+	// recovery that finds the same links down installs it again instead
+	// of recomputing it: with ropts fixed, routing is a pure function of
+	// the failure set, so the reuse is exact.
+	routed *subnet.Routing
+
 	// FaultsInjected counts executed link-down and switch-down events;
 	// Repairs counts link-up and switch-up events; ReconfigsStarted
 	// and ReconfigsDone count staged recoveries scheduled and
@@ -57,14 +63,10 @@ type Injector struct {
 // OnDelivered hook to observe recovery latency; call it after any
 // metrics collector has attached.
 func Apply(net *fabric.Network, c *Campaign, seed uint64, ropts subnet.Options) (*Injector, error) {
-	st := subnet.DefaultStagedOptions()
-	if c.SweepDelay > 0 || c.PerSwitchDelay > 0 {
-		st.SweepDelay, st.PerSwitchDelay = c.SweepDelay, c.PerSwitchDelay
-	}
 	inj := &Injector{
 		net:                net,
 		ropts:              ropts,
-		sweep:              st,
+		sweep:              c.stagedOptions(),
 		FirstFaultAt:       -1,
 		LastReconfigDoneAt: -1,
 		RecoveryLatency:    -1,
@@ -159,12 +161,28 @@ func (inj *Injector) execute(e Event) {
 			inj.RerouteDrops += dropped
 			inj.LastReconfigDoneAt = inj.net.Engine.Now()
 		}
-		if _, err := subnet.ReconfigureStaged(inj.net, inj.ropts, st); err != nil {
+		if err := inj.reconfigure(st); err != nil {
 			fail(err)
 			return
 		}
 		inj.ReconfigsStarted++
 	}
+}
+
+// reconfigure schedules a staged recovery around the links down now,
+// computing the routing only when the failure set differs from the
+// one the previous recovery routed around.
+func (inj *Injector) reconfigure(st subnet.StagedOptions) error {
+	down := inj.net.DownLinks()
+	if inj.routed == nil || !inj.routed.Avoids(down) {
+		r, err := subnet.Route(inj.net, inj.ropts, down)
+		if err != nil {
+			return err
+		}
+		inj.routed = r
+	}
+	_, err := inj.routed.Stage(inj.net, st)
+	return err
 }
 
 func (inj *Injector) noteFault(now sim.Time) {

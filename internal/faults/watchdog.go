@@ -26,12 +26,18 @@ type WatchdogConfig struct {
 // Enabled reports whether the watchdog should run at all.
 func (c WatchdogConfig) Enabled() bool { return c.SampleEvery > 0 || c.Horizon > 0 }
 
+// Defaults for the zero fields of an enabled watchdog.
+const (
+	defaultSampleEvery sim.Time = 5_000
+	defaultHorizon     sim.Time = 100_000
+)
+
 func (c WatchdogConfig) withDefaults() WatchdogConfig {
 	if c.SampleEvery <= 0 {
-		c.SampleEvery = 5_000
+		c.SampleEvery = defaultSampleEvery
 	}
 	if c.Horizon <= 0 {
-		c.Horizon = 100_000
+		c.Horizon = defaultHorizon
 	}
 	return c
 }

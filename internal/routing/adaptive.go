@@ -34,20 +34,51 @@ func NewFA(det *Deterministic) *FA {
 	t := det.Topo
 	n := t.NumSwitches
 	dists := t.AllDistances()
-	adaptive := make([][][]int, n)
+	adj := t.Adjacency()
+	routed := make([]bool, n)
+	for d := range routed {
+		routed[d] = det.Routes(d)
+	}
+	// option reports whether the neighbour m of s whose distance row is
+	// dm is an option toward d: one hop closer to d than s (row ds).
+	option := func(s, d int, ds, dm []int) bool {
+		return dm[d] == ds[d]-1 && d != s && routed[d]
+	}
+	// Count the options of every pair, then carve the sets out of one
+	// backing array and fill them row by row; neighbours are visited in
+	// ascending order, so every set comes out sorted.
+	counts := make([]int, n*n)
+	total := 0
 	for s := 0; s < n; s++ {
-		adaptive[s] = make([][]int, n)
-		for d := 0; d < n; d++ {
-			if s == d || !det.Routes(d) {
-				continue
-			}
-			var opts []int
-			for _, m := range t.Neighbors(s) { // sorted, so opts sorted
-				if dists[m][d] == dists[s][d]-1 {
-					opts = append(opts, m)
+		ds, row := dists[s], counts[s*n:(s+1)*n]
+		for _, m := range adj[s] {
+			for d, dm := 0, dists[m]; d < n; d++ {
+				if option(s, d, ds, dm) {
+					row[d]++
+					total++
 				}
 			}
-			adaptive[s][d] = opts
+		}
+	}
+	backing := make([]int, total)
+	cells := make([][]int, n*n)
+	adaptive := make([][][]int, n)
+	next := 0
+	for s := 0; s < n; s++ {
+		adaptive[s] = cells[s*n : (s+1)*n : (s+1)*n]
+		for d, k := range counts[s*n : (s+1)*n] {
+			if k > 0 {
+				adaptive[s][d] = backing[next : next : next+k]
+				next += k
+			}
+		}
+		ds := dists[s]
+		for _, m := range adj[s] {
+			for d, dm := 0, dists[m]; d < n; d++ {
+				if option(s, d, ds, dm) {
+					adaptive[s][d] = append(adaptive[s][d], m)
+				}
+			}
 		}
 	}
 	return &FA{Det: det, Adaptive: adaptive}

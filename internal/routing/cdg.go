@@ -1,6 +1,9 @@
 package routing
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // This file implements the channel dependency graph (CDG) analysis
 // used to verify deadlock freedom. Following Duato's theory (which §3
@@ -145,6 +148,11 @@ func VerifyDeadlockFreeAll(dets []*Deterministic) error {
 	if len(dets) == 0 {
 		return nil
 	}
+	if acyclic, ok := denseAcyclic(dets); ok && acyclic {
+		return nil
+	}
+	// A cycle (or tables the dense check cannot index): name it on the
+	// map-based CDG, which accepts any next-hop relation.
 	union := make(map[int][]int)
 	for _, det := range dets {
 		for c, deps := range EscapeCDG(det) {
@@ -157,6 +165,99 @@ func VerifyDeadlockFreeAll(dets []*Deterministic) error {
 	}
 	topo := dets[0].Topo
 	return fmt.Errorf("routing: escape CDG cycle:%s", FormatCycleNamed(cycle, topo.NumSwitches, topo.NodeName))
+}
+
+// denseAcyclic decides whether the union escape CDG of dets is acyclic
+// over flat arrays instead of maps. Channels are the directed links
+// (s -> adj[s][i]), numbered off[s]+i; a dependency (s->m) -> (m->x) is
+// one bit, indexed by x's position in adj[m], of channel (s->m)'s
+// dependency mask. Kahn's peeling then removes every channel with no
+// remaining predecessor: the graph is acyclic iff all peel. ok is
+// false when the tables cannot be indexed this way (routings over
+// different topologies, or a next hop that is not a link); callers
+// fall back to the map-based CDG.
+func denseAcyclic(dets []*Deterministic) (acyclic, ok bool) {
+	topo := dets[0].Topo
+	n := topo.NumSwitches
+	adj := topo.Adjacency()
+	off := make([]int, n+1)
+	maxDeg := 0
+	for s, ns := range adj {
+		off[s+1] = off[s] + len(ns)
+		if len(ns) > maxDeg {
+			maxDeg = len(ns)
+		}
+	}
+	channels := off[n]
+	words := (maxDeg + 63) / 64
+	dep := make([]uint64, channels*words)
+	pos := make([]int, n) // pos[s]: index of s's next hop in adj[s], -1 if none
+	for _, det := range dets {
+		if det.Topo != topo {
+			return false, false
+		}
+		for d := 0; d < n; d++ {
+			if !det.Routes(d) {
+				continue
+			}
+			for s := 0; s < n; s++ {
+				pos[s] = -1
+				hop := det.NextHop[s][d]
+				if s == d || hop < 0 {
+					continue
+				}
+				for i, m := range adj[s] {
+					if m == hop {
+						pos[s] = i
+						break
+					}
+				}
+				if pos[s] < 0 {
+					return false, false
+				}
+			}
+			for s := 0; s < n; s++ {
+				if pos[s] < 0 {
+					continue
+				}
+				m := adj[s][pos[s]]
+				if x := pos[m]; x >= 0 {
+					c := off[s] + pos[s]
+					dep[c*words+x/64] |= 1 << (x % 64)
+				}
+			}
+		}
+	}
+	head := make([]int, channels) // head[c]: the switch channel c enters
+	for s, ns := range adj {
+		copy(head[off[s]:], ns)
+	}
+	indeg := make([]int, channels)
+	visit := func(c int, f func(c2 int)) {
+		m := head[c]
+		for w := 0; w < words; w++ {
+			for word := dep[c*words+w]; word != 0; word &= word - 1 {
+				f(off[m] + w*64 + bits.TrailingZeros64(word))
+			}
+		}
+	}
+	for c := 0; c < channels; c++ {
+		visit(c, func(c2 int) { indeg[c2]++ })
+	}
+	queue := make([]int, 0, channels)
+	for c, k := range indeg {
+		if k == 0 {
+			queue = append(queue, c)
+		}
+	}
+	for i := 0; i < len(queue); i++ {
+		visit(queue[i], func(c2 int) {
+			if indeg[c2]--; indeg[c2] == 0 {
+				queue = append(queue, c2)
+			}
+		})
+	}
+	return len(queue) == channels, true
 }
 
 // FormatCycle renders a FindCycle result over ChannelID-encoded

@@ -9,6 +9,7 @@ package routing
 
 import (
 	"fmt"
+	"sort"
 
 	"ibasim/internal/topology"
 )
@@ -119,12 +120,15 @@ func (u *UpDown) TablesVariant(variant int) *Deterministic {
 	n := u.Topo.NumSwitches
 	next := make([][]int, n)
 	dist := make([][]int, n) // table-path length from s to d
+	nextAll, distAll := make([]int, n*n), make([]int, n*n)
 	for s := range next {
-		next[s] = make([]int, n)
-		dist[s] = make([]int, n)
+		next[s], dist[s] = nextAll[s*n:(s+1)*n:(s+1)*n], distAll[s*n:(s+1)*n:(s+1)*n]
 	}
+	nbrs := u.rotatedAll(variant)
+	order := u.climbOrder()
+	nd, dd, queue := make([]int, n), make([]int, n), make([]int, 0, n)
 	for d := 0; d < n; d++ {
-		nd, dd := u.tablesFor(d, variant)
+		u.tablesFor(d, nbrs, order, nd, dd, queue)
 		for s := 0; s < n; s++ {
 			next[s][d] = nd[s]
 			dist[s][d] = dd[s]
@@ -133,47 +137,63 @@ func (u *UpDown) TablesVariant(variant int) *Deterministic {
 	return &Deterministic{Topo: u.Topo, UD: u, NextHop: next, PathLen: dist}
 }
 
-// rotated returns s's neighbours rotated by the variant, the
-// tie-breaking knob of TablesVariant. Rotating by the switch ID as
-// well decorrelates choices across switches.
-func (u *UpDown) rotated(s, variant int) []int {
-	ns := u.Topo.Neighbors(s)
-	if variant == 0 || len(ns) < 2 {
-		return ns
+// rotatedAll returns every switch's neighbours rotated by the variant,
+// the tie-breaking knob of TablesVariant. Rotating by the switch ID as
+// well decorrelates choices across switches. Variant 0 is the
+// topology's own (sorted) adjacency.
+func (u *UpDown) rotatedAll(variant int) [][]int {
+	adj := u.Topo.Adjacency()
+	if variant == 0 {
+		return adj
 	}
-	k := (variant + s) % len(ns)
-	out := make([]int, 0, len(ns))
-	out = append(out, ns[k:]...)
-	out = append(out, ns[:k]...)
+	out := make([][]int, len(adj))
+	backing := make([]int, 0, 2*len(u.Topo.Links))
+	for s, ns := range adj {
+		start := len(backing)
+		if len(ns) < 2 {
+			backing = append(backing, ns...)
+		} else {
+			k := (variant + s) % len(ns)
+			backing = append(backing, ns[k:]...)
+			backing = append(backing, ns[:k]...)
+		}
+		out[s] = backing[start:len(backing):len(backing)]
+	}
 	return out
 }
 
+// climbOrder returns the switches in ascending (level, id) order, the
+// order phase 2 of tablesFor assigns climbers in.
+func (u *UpDown) climbOrder() []int {
+	order := make([]int, u.Topo.NumSwitches)
+	for s := range order {
+		order[s] = s
+	}
+	sort.Slice(order, func(i, j int) bool {
+		a, b := order[i], order[j]
+		return u.Level[a] < u.Level[b] || (u.Level[a] == u.Level[b] && a < b)
+	})
+	return order
+}
+
 // tablesFor computes next hops and table-path lengths toward a single
-// destination switch d.
-func (u *UpDown) tablesFor(d, variant int) (next, dist []int) {
-	n := u.Topo.NumSwitches
-	next = make([]int, n)
-	dist = make([]int, n)
+// destination switch d into next and dist, exploring neighbours in the
+// order nbrs gives them; queue is scratch with capacity n.
+func (u *UpDown) tablesFor(d int, nbrs [][]int, order, next, dist, queue []int) {
 	for i := range next {
 		next[i] = -1
 		dist[i] = -1
 	}
 	dist[d] = 0
 
-	// Phase 1: all-down distances to d via reverse BFS over up moves.
-	// Moving from s down to m means m -> s is an up move; so explore
-	// from d along edges (x -> y) where y sees x as a down neighbour,
-	// i.e. x is up of y... concretely: y can take a down step to x iff
-	// IsUp(x, y) (y is the up end means x->y is up, so y->x is down).
-	queue := []int{d}
-	for len(queue) > 0 {
-		x := queue[0]
-		queue = queue[1:]
-		for _, y := range u.rotated(x, variant) {
-			// y -> x is a down move iff x is NOT up of... a move y->x
-			// is down iff IsUp(y, x) is false for direction from y to
-			// x: IsUp(y, x) true means x is toward root. Down means
-			// x is away from root: !IsUp(y, x).
+	// Phase 1: all-down distances to d via reverse BFS. A move y -> x
+	// is down iff x is not the up end of the link, i.e. !IsUp(y, x);
+	// exploring from d along such moves in reverse finds every switch
+	// with an all-down path to d.
+	queue = append(queue[:0], d)
+	for head := 0; head < len(queue); head++ {
+		x := queue[head]
+		for _, y := range nbrs[x] {
 			if !u.IsUp(y, x) && dist[y] == -1 {
 				dist[y] = dist[x] + 1
 				next[y] = x
@@ -188,26 +208,11 @@ func (u *UpDown) tablesFor(d, variant int) (next, dist []int) {
 	// each climber after all its up-neighbours; every climb chain ends
 	// in the descend set because the root always belongs to it (the
 	// root reaches every switch by reversing BFS-parent up-paths).
-	order := make([]int, 0, n)
-	for s := 0; s < n; s++ {
-		order = append(order, s)
-	}
-	// Sort by (level, id) ascending; insertion sort keeps this
-	// dependency-free and n is small (<= 64 in the paper's configs).
-	for i := 1; i < len(order); i++ {
-		for j := i; j > 0; j-- {
-			a, b := order[j-1], order[j]
-			if u.Level[a] < u.Level[b] || (u.Level[a] == u.Level[b] && a < b) {
-				break
-			}
-			order[j-1], order[j] = order[j], order[j-1]
-		}
-	}
 	for _, s := range order {
 		if dist[s] != -1 || s == d {
 			continue // descend-set assignments are final
 		}
-		for _, m := range u.rotated(s, variant) {
+		for _, m := range nbrs[s] {
 			if !u.IsUp(s, m) || dist[m] == -1 {
 				continue
 			}
@@ -217,5 +222,4 @@ func (u *UpDown) tablesFor(d, variant int) (next, dist []int) {
 			}
 		}
 	}
-	return next, dist
 }

@@ -8,10 +8,7 @@
 package subnet
 
 import (
-	"fmt"
-
 	"ibasim/internal/fabric"
-	"ibasim/internal/ib"
 	"ibasim/internal/routing"
 	"ibasim/internal/topology"
 )
@@ -49,61 +46,19 @@ type Options struct {
 // selection.
 func DefaultOptions() Options { return Options{MaxRoutingOptions: 2, Root: -1} }
 
-// Configure computes up*/down* and FA routing for the network's
-// topology and programs every switch's forwarding table. It returns
-// the FA routing function for analysis (Table 2, path statistics).
-//
-// Slot layout per destination host (base address b, block size 2^LMC):
-//
-//	b+0: escape option — the up*/down* deterministic next hop;
-//	b+1 .. b+MR-1: adaptive options — minimal next hops;
-//	remaining slots: cycle-filled with the adaptive options so every
-//	address of the block is programmed (a spec requirement: any DLID
-//	in the range must route).
-//
-// When the network's switches are plain deterministic (the baseline),
-// every slot of a block stores the escape port, exactly what §4.2
-// prescribes for mixing deterministic-only switches into the subnet.
+// Configure computes the routing of the network's full topology (see
+// Route for the table layout) and programs every switch's forwarding
+// table. It returns the FA routing function for analysis (Table 2,
+// path statistics).
 func Configure(net *fabric.Network, opts Options) (*routing.FA, error) {
-	eng, err := buildEngine(net.Topo, opts)
+	r, err := Route(net, opts, nil)
 	if err != nil {
 		return nil, err
 	}
-	fa := eng.Adaptive()
-
-	if opts.SourceMultipath > 1 {
-		ud := eng.Deterministic().UD
-		if ud == nil {
-			return nil, fmt.Errorf("subnet: source multipath needs up*/down* variants, not the %s engine", eng.Name())
-		}
-		if err := configureMultipath(net, ud, opts.SourceMultipath); err != nil {
-			return nil, err
-		}
-		return fa, nil
+	if err := r.installAll(net); err != nil {
+		return nil, err
 	}
-
-	block := net.Plan.RangeSize()
-	mr := opts.MaxRoutingOptions
-	if mr <= 0 {
-		mr = block
-	}
-	if mr > block {
-		return nil, fmt.Errorf("subnet: MR %d exceeds LID range size %d (raise LMC)", mr, block)
-	}
-
-	for s, sw := range net.Switches {
-		for dst := 0; dst < net.Topo.NumHosts(); dst++ {
-			escape, adaptive, err := routeEntries(net, fa, s, dst, mr)
-			if err != nil {
-				return nil, err
-			}
-			base := net.Plan.BaseLID(dst)
-			if err := program(sw.Table(), base, block, escape, adaptive, sw.Enhanced()); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return fa, nil
+	return r.FA, nil
 }
 
 // buildEngine constructs and verifies the routing engine for one
@@ -123,111 +78,4 @@ func buildEngine(topo *topology.Topology, opts Options) (routing.Engine, error) 
 		return nil, err
 	}
 	return eng, nil
-}
-
-// configureMultipath programs k alternative deterministic up*/down*
-// routings (tie-break variants on one link orientation) into the first
-// k slots of every destination block and cycle-fills the rest. All
-// variants conform to the same up*/down* relation, so their mixture is
-// deadlock-free; VerifyDeadlockFreeAll re-checks the union CDG
-// mechanically before any table is written.
-func configureMultipath(net *fabric.Network, ud *routing.UpDown, k int) error {
-	block := net.Plan.RangeSize()
-	if k > block {
-		return fmt.Errorf("subnet: %d source paths exceed LID range size %d (raise LMC)", k, block)
-	}
-	if net.Cfg.SourceMultipath != k {
-		return fmt.Errorf("subnet: network configured for %d source paths, manager for %d",
-			net.Cfg.SourceMultipath, k)
-	}
-	variants := make([]*routing.Deterministic, k)
-	for v := range variants {
-		variants[v] = ud.TablesVariant(v)
-		if err := variants[v].Validate(); err != nil {
-			return fmt.Errorf("subnet: variant %d: %w", v, err)
-		}
-	}
-	if err := routing.VerifyDeadlockFreeAll(variants); err != nil {
-		return err
-	}
-	for s, sw := range net.Switches {
-		for dst := 0; dst < net.Topo.NumHosts(); dst++ {
-			d := net.Topo.HostSwitch(dst)
-			base := net.Plan.BaseLID(dst)
-			for off := 0; off < block; off++ {
-				port := net.HostPort(dst)
-				if d != s {
-					hop := variants[off%k].NextHop[s][d]
-					p, err := net.PortToNeighbor(s, hop)
-					if err != nil {
-						return err
-					}
-					port = p
-				}
-				if err := sw.Table().Set(base+ib.LID(off), port); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// routeEntries resolves the escape port and up to mr-1 adaptive ports
-// for destination host dst as seen from switch s.
-//
-// In mixed subnets (§4.2) adaptive options leading to a
-// deterministic-only switch are NOT programmed. A stock switch's VL
-// buffer has a single service point, so packets parked behind its head
-// inherit the head's dependencies; if adaptive (non-up*/down*) moves
-// could deliver packets into that buffer, its dependencies would no
-// longer be chains of consecutive up*/down* table moves and the escape
-// network's acyclicity — the whole deadlock-freedom argument — would
-// break (we reproduced exactly that hang before adding this filter;
-// TestMixedPopulationTrafficDrains pins it). Restricting adaptivity to
-// enhanced-to-enhanced hops keeps every packet in a stock switch on a
-// pure table path.
-func routeEntries(net *fabric.Network, fa *routing.FA, s, dst, mr int) (ib.PortID, []ib.PortID, error) {
-	d := net.Topo.HostSwitch(dst)
-	if d == s {
-		// Local delivery: the host-facing port is the only option.
-		p := net.HostPort(dst)
-		return p, []ib.PortID{p}, nil
-	}
-	escapeHop := fa.Escape(s, d)
-	escape, err := net.PortToNeighbor(s, escapeHop)
-	if err != nil {
-		return 0, nil, err
-	}
-	var adaptive []ib.PortID
-	for _, hop := range fa.Options(s, d, mr-1) {
-		if !net.Switches[hop].Enhanced() && d != hop {
-			continue
-		}
-		p, err := net.PortToNeighbor(s, hop)
-		if err != nil {
-			return 0, nil, err
-		}
-		adaptive = append(adaptive, p)
-	}
-	return escape, adaptive, nil
-}
-
-// program writes one destination's block of table slots.
-func program(tab interface {
-	Set(ib.LID, ib.PortID) error
-}, base ib.LID, block int, escape ib.PortID, adaptive []ib.PortID, enhanced bool) error {
-	if err := tab.Set(base, escape); err != nil {
-		return err
-	}
-	for off := 1; off < block; off++ {
-		p := escape
-		if enhanced && len(adaptive) > 0 {
-			p = adaptive[(off-1)%len(adaptive)]
-		}
-		if err := tab.Set(base+ib.LID(off), p); err != nil {
-			return err
-		}
-	}
-	return nil
 }

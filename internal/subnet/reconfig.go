@@ -1,20 +1,19 @@
 package subnet
 
 import (
-	"fmt"
-
 	"ibasim/internal/fabric"
-	"ibasim/internal/ib"
 	"ibasim/internal/routing"
 	"ibasim/internal/topology"
 )
 
 // Reconfigure reacts to failed cables the way an IBA subnet manager
 // does after a sweep discovers a topology change: it recomputes
-// routing on the surviving graph, reprograms every forwarding table
-// (port numbering is unchanged — ports are physical), and re-routes
-// packets already buffered in switches so none keeps waiting on a
-// dead port. The failed links must leave the switch graph connected.
+// routing around every link that is down — the ones named here plus
+// any failed earlier, as a real sweep would discover — reprograms
+// every forwarding table (port numbering is unchanged — ports are
+// physical), and re-routes packets already buffered in switches so
+// none keeps waiting on a dead port. The failure set must leave the
+// switch graph connected.
 //
 // The reconfiguration is modelled as atomic at the current simulated
 // instant. Real subnet managers reprogram switches one VS-command at a
@@ -28,62 +27,15 @@ func Reconfigure(net *fabric.Network, opts Options, failed ...topology.Link) (*r
 			return nil, err
 		}
 	}
-	reduced := net.Topo.Without(failed...)
-	if !reduced.Connected() {
-		return nil, fmt.Errorf("subnet: failures disconnect the network")
-	}
-
-	eng, err := buildEngine(reduced, opts)
+	r, err := Route(net, opts, net.DownLinks())
 	if err != nil {
 		return nil, err
 	}
-	fa := eng.Adaptive()
-
-	block := net.Plan.RangeSize()
-	mr := opts.MaxRoutingOptions
-	if mr <= 0 {
-		mr = block
-	}
-	if mr > block {
-		return nil, fmt.Errorf("subnet: MR %d exceeds LID range size %d", mr, block)
-	}
-	for s, sw := range net.Switches {
-		for dst := 0; dst < net.Topo.NumHosts(); dst++ {
-			escape, adaptive, err := reducedRouteEntries(net, reduced, fa, s, dst, mr)
-			if err != nil {
-				return nil, err
-			}
-			base := net.Plan.BaseLID(dst)
-			if err := program(sw.Table(), base, block, escape, adaptive, sw.Enhanced()); err != nil {
-				return nil, err
-			}
-		}
+	if err := r.installAll(net); err != nil {
+		return nil, err
 	}
 	for _, sw := range net.Switches {
 		sw.Reroute()
 	}
-	return fa, nil
-}
-
-// reducedRouteEntries mirrors routeEntries but resolves hops on the
-// reduced topology while mapping ports through the original wiring.
-func reducedRouteEntries(net *fabric.Network, reduced *topology.Topology, fa *routing.FA, s, dst, mr int) (escape ib.PortID, adaptive []ib.PortID, err error) {
-	d := net.Topo.HostSwitch(dst)
-	if d == s {
-		p := net.HostPort(dst)
-		return p, []ib.PortID{p}, nil
-	}
-	escapeHop := fa.Escape(s, d)
-	escape, err = net.PortToNeighbor(s, escapeHop)
-	if err != nil {
-		return 0, nil, err
-	}
-	for _, hop := range fa.Options(s, d, mr-1) {
-		p, err := net.PortToNeighbor(s, hop)
-		if err != nil {
-			return 0, nil, err
-		}
-		adaptive = append(adaptive, p)
-	}
-	return escape, adaptive, nil
+	return r.FA, nil
 }

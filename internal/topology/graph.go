@@ -318,15 +318,21 @@ func (t *Topology) Without(failed ...Link) *Topology {
 // the switch graph). Unreachable switches get -1.
 func (t *Topology) Distances(src int) []int {
 	dist := make([]int, t.NumSwitches)
+	t.distancesInto(src, dist, make([]int, 0, t.NumSwitches))
+	return dist
+}
+
+// distancesInto fills dist with the BFS hop distances from src, using
+// queue (capacity NumSwitches) as scratch.
+func (t *Topology) distancesInto(src int, dist, queue []int) {
 	for i := range dist {
 		dist[i] = -1
 	}
 	dist[src] = 0
-	queue := []int{src}
+	queue = append(queue[:0], src)
 	adj := t.Adjacency()
-	for len(queue) > 0 {
-		s := queue[0]
-		queue = queue[1:]
+	for head := 0; head < len(queue); head++ {
+		s := queue[head]
 		for _, n := range adj[s] {
 			if dist[n] == -1 {
 				dist[n] = dist[s] + 1
@@ -334,14 +340,18 @@ func (t *Topology) Distances(src int) []int {
 			}
 		}
 	}
-	return dist
 }
 
-// AllDistances returns the full switch-to-switch hop distance matrix.
+// AllDistances returns the full switch-to-switch hop distance matrix;
+// its rows share one backing array.
 func (t *Topology) AllDistances() [][]int {
-	out := make([][]int, t.NumSwitches)
+	n := t.NumSwitches
+	out := make([][]int, n)
+	backing := make([]int, n*n)
+	queue := make([]int, 0, n)
 	for s := range out {
-		out[s] = t.Distances(s)
+		out[s] = backing[s*n : (s+1)*n : (s+1)*n]
+		t.distancesInto(s, out[s], queue)
 	}
 	return out
 }

@@ -81,6 +81,10 @@ go test -run 'TestEventQueueDifferential|TestEngineSchedulersEquivalent' -v ./in
 echo "==> event-queue fuzz smoke"
 go test -run '^$' -fuzz 'FuzzEventQueueOrdering' -fuzztime 10s ./internal/sim/
 
+echo "==> benchmark self-tests (perfbench smoke run and pinned digests)"
+# perfbench is a module of its own, so go test ./... above never runs it.
+(cd perfbench && go test -count=1 .)
+
 echo "==> fault-campaign smoke (seeded flaps, staged recovery, watchdog)"
 go test -race -run 'TestCampaignSmokeCI' -v ./internal/faults/
 
