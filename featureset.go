@@ -7,16 +7,13 @@ import (
 )
 
 // FeatureSet names the cross-cutting run features whose combinations
-// are constrained: the execution engine, its shard count, packet
-// tracing, and the invariant auditor's heavy checks. The CLIs and the
+// are constrained: packet tracing, campaign execution, the arbiter,
+// the topology family and the multipath baseline. The CLIs and the
 // library API all funnel flag combinations through Validate before
 // building anything, so an unsupported pairing fails up front with
 // one canonical message instead of surfacing mid-run from whichever
 // layer happens to notice first.
 type FeatureSet struct {
-	Engine      string // "", "seq" or "shard"
-	Shards      int    // >1 only meaningful with Engine "shard"
-	LagNs       int64  // -lag: relaxed-exactness window slack, shard engine only
 	PacketTrace bool   // -packet-trace: per-packet lifecycle recorder
 	Check       bool   // -check: heavy invariant scans (compatible with everything)
 	Campaign    bool   // run executes inside an ibcamp campaign worker
@@ -40,62 +37,12 @@ type featureRule struct {
 }
 
 // featureRules is the complete compatibility table. Check appears in
-// no row by design: the auditor attaches to the same observer seams
-// on both engines and its heavy ticks run in the control engine's
-// single-threaded phases, so it composes with every other feature —
-// the featureset test pins that absence.
+// no row by design: the auditor only reads state, so it composes with
+// every other feature — the featureset test pins that absence.
 var featureRules = []featureRule{
 	{
-		name: "engine-known",
-		applies: func(f FeatureSet) bool {
-			switch f.Engine {
-			case "", "seq", "shard":
-				return false
-			}
-			return true
-		},
-		err: func(f FeatureSet) error {
-			return fmt.Errorf("ibasim: unknown engine %q (want seq or shard)", f.Engine)
-		},
-	},
-	{
-		name:    "shards-require-shard-engine",
-		applies: func(f FeatureSet) bool { return f.Shards > 1 && f.Engine != "shard" },
-		err: func(f FeatureSet) error {
-			return fmt.Errorf("ibasim: shards=%d requires engine \"shard\"", f.Shards)
-		},
-	},
-	{
-		name:    "lag-non-negative",
-		applies: func(f FeatureSet) bool { return f.LagNs < 0 },
-		err: func(f FeatureSet) error {
-			return fmt.Errorf("ibasim: negative lag %dns", f.LagNs)
-		},
-	},
-	{
-		// Lag widens the conservative windows of the shard barrier; on
-		// the sequential engine there are no windows to widen, so a lag
-		// request there is a misconfiguration, not a no-op.
-		name:    "lag-requires-shard-engine",
-		applies: func(f FeatureSet) bool { return f.LagNs > 0 && f.Engine != "shard" },
-		err: func(f FeatureSet) error {
-			return fmt.Errorf("ibasim: lag=%dns requires engine \"shard\"", f.LagNs)
-		},
-	},
-	{
-		// The tracer hangs off the Network-level hooks, which sharded
-		// runs leave to the per-shard observer chain; attaching it
-		// there would race with the shard workers.
-		name:    "trace-requires-sequential",
-		applies: func(f FeatureSet) bool { return f.PacketTrace && f.Engine == "shard" },
-		err: func(f FeatureSet) error {
-			return fmt.Errorf("ibasim: packet tracing requires the sequential engine")
-		},
-	},
-	{
 		// A campaign worker's stdout carries the coordinator protocol
-		// (heartbeats, the ok line) and its result must serialize to
-		// the engine-invariant artifact; the tracer satisfies neither.
+		// (heartbeats, the result frame); the tracer would corrupt it.
 		name:    "trace-unsupported-in-campaign",
 		applies: func(f FeatureSet) bool { return f.PacketTrace && f.Campaign },
 		err: func(f FeatureSet) error {
@@ -168,7 +115,7 @@ func (f FeatureSet) Validate() error {
 // supplied by the entry point (SimulateTraced) rather than the Config.
 func (c Config) features(packetTrace bool) FeatureSet {
 	return FeatureSet{
-		Engine: c.Engine, Shards: c.Shards, LagNs: c.LagNs, PacketTrace: packetTrace,
-		Check: c.Check, Arb: c.Arb, Topo: c.Topology, SourceMultipath: c.SourceMultipath,
+		PacketTrace: packetTrace, Check: c.Check, Arb: c.Arb,
+		Topo: c.Topology, SourceMultipath: c.SourceMultipath,
 	}
 }

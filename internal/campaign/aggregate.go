@@ -16,10 +16,8 @@ import (
 // in the store body.
 const ArtifactSchemaVersion = 1
 
-// Artifact is the store body a worker writes for a completed job: the
-// run's result stamped with the input address it answers for.
-// RunResult serializes with ShardStats already cleared (Execute
-// guarantees it), so the bytes are engine-invariant.
+// Artifact is the store body for a completed job: the run's result
+// stamped with the input address it answers for.
 type Artifact struct {
 	Schema int                   `json:"schema"`
 	Input  string                `json:"input"`
@@ -28,7 +26,6 @@ type Artifact struct {
 
 // EncodeArtifact builds the canonical store body for a result.
 func EncodeArtifact(hash string, res experiments.RunResult) ([]byte, error) {
-	res.ShardStats = nil
 	return json.Marshal(Artifact{Schema: ArtifactSchemaVersion, Input: hash, Result: res})
 }
 

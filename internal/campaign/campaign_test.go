@@ -5,10 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
-	"os/exec"
+	"path/filepath"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -23,6 +23,10 @@ func TestMain(m *testing.M) {
 	switch os.Getenv("IBCAMP_TEST_WORKER") {
 	case "worker":
 		os.Exit(WorkerMain(os.Stdin, os.Stdout, os.Stderr))
+	case "torn":
+		// A real worker, except that the first process to claim the
+		// token file SIGKILLs itself halfway through its result frame.
+		os.Exit(WorkerMain(os.Stdin, &tornWriter{w: os.Stdout, token: os.Getenv("IBCAMP_TEST_TOKEN")}, os.Stderr))
 	case "fail":
 		fmt.Fprintln(os.Stderr, "ibcamp test worker: induced failure")
 		os.Exit(1)
@@ -53,6 +57,26 @@ func testOpts(t *testing.T, mode string) Options {
 		Env:         []string{"IBCAMP_TEST_WORKER=" + mode, "IBCAMP_HB_MS=10"},
 		Log:         &testLogWriter{t: t},
 	}
+}
+
+// tornWriter passes a worker's protocol stream through until its
+// result frame. If this process is the one that removes the token
+// file, it writes half the frame and SIGKILLs itself: a crash at the
+// most delicate point of the protocol, at an exact place every run.
+type tornWriter struct {
+	w     io.Writer
+	token string
+}
+
+func (tw *tornWriter) Write(p []byte) (int, error) {
+	if !bytes.HasPrefix(p, []byte("ok ")) || os.Remove(tw.token) != nil {
+		return tw.w.Write(p)
+	}
+	tw.w.Write(p[:len(p)/2])
+	if self, err := os.FindProcess(os.Getpid()); err == nil {
+		self.Kill()
+	}
+	select {} // the kill is asynchronous; never write the rest
 }
 
 type testLogWriter struct{ t *testing.T }
@@ -121,7 +145,8 @@ func TestCampaignEndToEnd(t *testing.T) {
 }
 
 // TestWorkerSIGKILLMidJobRetriesCleanly is the crash-path acceptance
-// test: SIGKILL a worker mid-job and require (a) the job is retried
+// test: SIGKILL a worker mid-job — halfway through writing its result —
+// and require (a) the job is retried
 // and the campaign completes, (b) the store holds no torn or invalid
 // artifact, and (c) the resumed campaign's aggregate is byte-identical
 // to an uninterrupted run's.
@@ -142,22 +167,17 @@ func TestWorkerSIGKILLMidJobRetriesCleanly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := testOpts(t, "worker")
-	var killed atomic.Bool
-	// The worker heartbeats immediately on start and every 10ms during
-	// the simulation, so the first heartbeat is mid-job by protocol.
-	opts.hooks.onHeartbeat = func(hash string, attempt int, cmd *exec.Cmd) {
-		if killed.CompareAndSwap(false, true) {
-			if err := cmd.Process.Kill(); err != nil {
-				t.Errorf("kill: %v", err)
-			}
-		}
+	token := filepath.Join(t.TempDir(), "kill-token")
+	if err := os.WriteFile(token, nil, 0o644); err != nil {
+		t.Fatal(err)
 	}
+	opts := testOpts(t, "torn")
+	opts.Env = append(opts.Env, "IBCAMP_TEST_TOKEN="+token)
 	rep, err := Run(context.Background(), plan, st, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !killed.Load() {
+	if _, err := os.Stat(token); !os.IsNotExist(err) {
 		t.Fatal("test never killed a worker")
 	}
 	if rep.Retried < 1 {
@@ -186,15 +206,14 @@ func TestWorkerSIGKILLMidJobRetriesCleanly(t *testing.T) {
 // from the store and the finished table still matches a clean run.
 func TestResumeSkipsPrepopulatedJobs(t *testing.T) {
 	plan := testPlan(t)
-	dir := t.TempDir()
-	st, err := Open(dir)
+	st, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Complete job 0 the way a worker would, then "crash" (do nothing
-	// else). WorkerMain is the real entry point, run in-process.
-	t.Setenv("IBCAMP_STORE", dir)
+	// Complete job 0 the way a coordinator would, then "crash" (do
+	// nothing else). WorkerMain is the real entry point, run
+	// in-process; its framed result is verified and stored.
 	input, err := json.Marshal(plan.Jobs[0].Spec)
 	if err != nil {
 		t.Fatal(err)
@@ -203,8 +222,18 @@ func TestResumeSkipsPrepopulatedJobs(t *testing.T) {
 	if code := WorkerMain(bytes.NewReader(input), &out, &errb); code != 0 {
 		t.Fatalf("WorkerMain = %d, stderr: %s", code, errb.String())
 	}
-	if !strings.Contains(out.String(), "ok "+plan.Jobs[0].Hash) {
-		t.Fatalf("worker protocol output missing ok line: %q", out.String())
+	if !strings.Contains(out.String(), "ok "+plan.Jobs[0].Hash+" ") {
+		t.Fatalf("worker protocol output missing ok frame: %q", out.String())
+	}
+	body, err := readWorker(&out, func() {})
+	if err != nil || body == nil {
+		t.Fatalf("readWorker = (%q, %v)", body, err)
+	}
+	if _, err := DecodeArtifact(body, plan.Jobs[0].Hash); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Put(plan.Jobs[0].Hash, body); err != nil {
+		t.Fatal(err)
 	}
 
 	rep, err := Run(context.Background(), plan, st, testOpts(t, "worker"))
@@ -225,6 +254,25 @@ func TestResumeSkipsPrepopulatedJobs(t *testing.T) {
 	}
 	if !bytes.Equal(tableBytes(t, cleanRep), tableBytes(t, rep)) {
 		t.Fatal("resumed table differs from clean run")
+	}
+}
+
+// TestReadWorkerFraming: heartbeats are counted, a complete frame
+// yields its body, and a frame cut short by a dying worker yields an
+// error, never a partial body.
+func TestReadWorkerFraming(t *testing.T) {
+	beats := 0
+	body, err := readWorker(strings.NewReader("hb\nhb\nok abc 5\nhello"), func() { beats++ })
+	if err != nil || string(body) != "hello" || beats != 2 {
+		t.Fatalf("complete frame: body %q, err %v, beats %d", body, err, beats)
+	}
+	if body, err := readWorker(strings.NewReader("hb\n"), func() {}); err != nil || body != nil {
+		t.Fatalf("no frame: body %q, err %v", body, err)
+	}
+	for _, cut := range []string{"hb\nok abc 5\nhel", "hb\nok abc", "ok abc x\n", "hb\nok abc 1\nxok abc 1\ny"} {
+		if body, err := readWorker(strings.NewReader(cut), func() {}); err == nil {
+			t.Errorf("%q: body %q, want an error", cut, body)
+		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package campaign
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/binary"
@@ -51,22 +50,11 @@ type Options struct {
 	// with the single argument "worker"). Tests point it at the test
 	// binary's re-exec shim.
 	WorkerCmd []string
-	// Env appends extra environment entries to spawned workers
-	// (IBCAMP_STORE is always set from the store).
+	// Env appends extra environment entries to spawned workers.
 	Env []string
 	// Log receives human-readable progress; default discard. Never
 	// write the table here — stdout must stay byte-stable.
 	Log io.Writer
-
-	hooks testHooks
-}
-
-// testHooks give the crash tests surgical access to worker processes.
-type testHooks struct {
-	// onSpawn runs after a worker starts, before its output is read.
-	onSpawn func(hash string, attempt int, cmd *exec.Cmd)
-	// onHeartbeat runs on every heartbeat line.
-	onHeartbeat func(hash string, attempt int, cmd *exec.Cmd)
 }
 
 func (o Options) withDefaults() Options {
@@ -265,7 +253,7 @@ func (o Options) runJob(ctx context.Context, st *Store, job Job) Outcome {
 			return oc
 		}
 		oc.Attempts = attempt
-		err := o.runAttempt(ctx, st, job, input, attempt)
+		err := o.runAttempt(ctx, st, job, input)
 		if err == nil {
 			oc.Status = "done"
 			return oc
@@ -289,13 +277,15 @@ func (o Options) runJob(ctx context.Context, st *Store, job Job) Outcome {
 	return oc
 }
 
-// runAttempt spawns one worker process for the job and supervises it.
-// Success is defined by the store, not the exit status: the attempt
-// succeeded iff a verified entry for the job's hash exists afterwards.
-// That makes every crash mode safe — a worker killed after its atomic
-// Put counts as success; one killed before it counts as a clean
-// failure with no torn artifact either way.
-func (o Options) runAttempt(ctx context.Context, st *Store, job Job, input []byte, attempt int) error {
+// runAttempt spawns one worker process for the job, supervises it and
+// stores its result. Success is defined by the result, not the exit
+// status: the attempt succeeded iff the worker delivered a complete
+// result frame whose artifact decodes against the job's hash, and the
+// coordinator stored it. The coordinator is the store's only writer,
+// so every crash mode is safe — a worker killed after its frame
+// counts as success; one killed before or during it is a clean failure
+// that leaves nothing in the store.
+func (o Options) runAttempt(ctx context.Context, st *Store, job Job, input []byte) error {
 	actx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var timedOut, hung atomic.Bool
@@ -303,8 +293,7 @@ func (o Options) runAttempt(ctx context.Context, st *Store, job Job, input []byt
 	defer tmo.Stop()
 
 	cmd := exec.CommandContext(actx, o.WorkerCmd[0], o.WorkerCmd[1:]...)
-	cmd.Env = append(os.Environ(), "IBCAMP_STORE="+st.Dir())
-	cmd.Env = append(cmd.Env, o.Env...)
+	cmd.Env = append(os.Environ(), o.Env...)
 	cmd.Stdin = bytes.NewReader(input)
 	cmd.Stderr = o.Log
 	out, err := cmd.StdoutPipe()
@@ -318,28 +307,18 @@ func (o Options) runAttempt(ctx context.Context, st *Store, job Job, input []byt
 	// firing cancels actx, which kills the process group member.
 	hang := time.AfterFunc(o.HungAfter, func() { hung.Store(true); cancel() })
 	defer hang.Stop()
-	if o.hooks.onSpawn != nil {
-		o.hooks.onSpawn(job.Hash, attempt, cmd)
-	}
 
-	sawOK := false
-	sc := bufio.NewScanner(out)
-	for sc.Scan() {
-		line := sc.Text()
-		switch {
-		case line == "hb":
-			hang.Reset(o.HungAfter)
-			if o.hooks.onHeartbeat != nil {
-				o.hooks.onHeartbeat(job.Hash, attempt, cmd)
-			}
-		case strings.HasPrefix(line, "ok "):
-			sawOK = true
-		}
-	}
+	body, rerr := readWorker(out, func() { hang.Reset(o.HungAfter) })
+	// After a protocol error the worker may still be writing; drain it
+	// so it can exit.
+	io.Copy(io.Discard, out)
 	werr := cmd.Wait()
 
-	if _, gerr := st.Get(job.Hash); gerr == nil {
-		return nil
+	if rerr == nil && body != nil {
+		if _, err := DecodeArtifact(body, job.Hash); err != nil {
+			return fmt.Errorf("worker result rejected: %v", err)
+		}
+		return st.Put(job.Hash, body)
 	}
 	switch {
 	case hung.Load():
@@ -348,10 +327,10 @@ func (o Options) runAttempt(ctx context.Context, st *Store, job Job, input []byt
 		return fmt.Errorf("worker exceeded the %v attempt timeout", o.Timeout)
 	case werr != nil:
 		return fmt.Errorf("worker: %v", werr)
-	case sawOK:
-		return fmt.Errorf("worker reported ok but stored no verifiable result")
+	case rerr != nil:
+		return rerr
 	default:
-		return fmt.Errorf("worker exited without storing a result")
+		return fmt.Errorf("worker exited without a result")
 	}
 }
 

@@ -32,6 +32,11 @@ func TestParseSpecStrict(t *testing.T) {
 		{"load-hi-below-lo", `{"name":"x","sizes":[8],"links":4,"mr":2,"packetSizes":[32],"loadLo":0.1,"loadHi":0.01,"loadPoints":3}`, "loadHi"},
 		{"bad-pattern", `{"name":"x","sizes":[8],"links":4,"mr":2,"packetSizes":[32],"loadLo":0.01,"patterns":["zipf"]}`, "unknown pattern"},
 		{"wrong-schema", `{"schema":9,"name":"x","sizes":[8],"links":4,"mr":2,"packetSizes":[32],"loadLo":0.01}`, "spec schema 9"},
+		// Retired execution knobs are unknown fields now.
+		{"lag", `{"name":"x","sizes":[8],"links":4,"mr":2,"packetSizes":[32],"loadLo":0.01,"lagNs":500}`, "unknown field"},
+		{"exec-engine", `{"name":"x","sizes":[8],"links":4,"mr":2,"packetSizes":[32],"loadLo":0.01,"exec":{"engine":"seq"}}`, "unknown field"},
+		{"exec-count", `{"name":"x","sizes":[8],"links":4,"mr":2,"packetSizes":[32],"loadLo":0.01,"exec":{"shards":4}}`, "unknown field"},
+		{"exec-partition", `{"name":"x","sizes":[8],"links":4,"mr":2,"packetSizes":[32],"loadLo":0.01,"exec":{"partition":"bfs"}}`, "unknown field"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -118,23 +123,24 @@ func TestExpandDedupsIdenticalCells(t *testing.T) {
 
 // TestExpandExecDoesNotMoveHashes: the same sweep planned with
 // different execution hints must address the same artifacts, so a
-// store populated by a sequential campaign satisfies a sharded rerun.
+// store populated by a default campaign satisfies a rerun on the
+// oracle scheduler and arbiter.
 func TestExpandExecDoesNotMoveHashes(t *testing.T) {
-	seq, err := ParseSpec([]byte(tinySpec))
+	plain, err := ParseSpec([]byte(tinySpec))
 	if err != nil {
 		t.Fatal(err)
 	}
-	shardJSON := strings.Replace(tinySpec, `"name": "tiny",`,
-		`"name": "tiny", "exec": {"engine": "shard", "shards": 4},`, 1)
-	shard, err := ParseSpec([]byte(shardJSON))
+	oracleJSON := strings.Replace(tinySpec, `"name": "tiny",`,
+		`"name": "tiny", "exec": {"sched": "heap", "arb": "scan", "unfused": true},`, 1)
+	oracle, err := ParseSpec([]byte(oracleJSON))
 	if err != nil {
 		t.Fatal(err)
 	}
-	p1, err := seq.Expand()
+	p1, err := plain.Expand()
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := shard.Expand()
+	p2, err := oracle.Expand()
 	if err != nil {
 		t.Fatal(err)
 	}

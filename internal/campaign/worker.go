@@ -1,12 +1,14 @@
 package campaign
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -15,18 +17,22 @@ import (
 )
 
 // Worker protocol. The coordinator re-execs this binary as
-// `ibcamp worker` with the JobSpec JSON on stdin and two environment
-// knobs:
+// `ibcamp worker` with the JobSpec JSON on stdin and one environment
+// knob:
 //
-//	IBCAMP_STORE   result store directory (required)
 //	IBCAMP_HB_MS   heartbeat interval in ms (default 500)
 //
 // The worker emits "hb\n" on stdout immediately and then every
-// interval while the simulation runs, writes the artifact to the
-// store, prints "ok <hash>\n" and exits 0. Everything human-readable
-// goes to stderr. Because the job runs in its own process, a panic,
-// OOM kill or SIGKILL costs exactly one attempt of one job — the
-// coordinator's watchdog sees the heartbeats stop and retries.
+// interval while the simulation runs. On success it emits one framed
+// result, "ok <hash> <nbytes>\n" followed by exactly nbytes of encoded
+// artifact, and exits 0. Everything human-readable goes to stderr.
+//
+// The worker never touches the result store: the coordinator verifies
+// the framed artifact against the job hash and is the store's only
+// writer. Because the job runs in its own process, a panic, OOM kill
+// or SIGKILL costs exactly one attempt of one job and leaves nothing
+// behind — the coordinator's watchdog sees the heartbeats stop and
+// retries.
 
 // DefaultHeartbeat is the worker heartbeat interval when IBCAMP_HB_MS
 // is unset.
@@ -34,14 +40,9 @@ const DefaultHeartbeat = 500 * time.Millisecond
 
 // WorkerMain is the `ibcamp worker` entry point; returns the process
 // exit code. Exit 2 marks protocol/spec errors (not worth retrying in
-// principle, though the coordinator treats every nonzero exit the
+// principle, though the coordinator treats every failed attempt the
 // same: retry up to the budget).
 func WorkerMain(stdin io.Reader, stdout, stderr io.Writer) int {
-	storeDir := os.Getenv("IBCAMP_STORE")
-	if storeDir == "" {
-		fmt.Fprintln(stderr, "ibcamp worker: IBCAMP_STORE not set")
-		return 2
-	}
 	hb := DefaultHeartbeat
 	if ms := os.Getenv("IBCAMP_HB_MS"); ms != "" {
 		v, err := strconv.Atoi(ms)
@@ -50,11 +51,6 @@ func WorkerMain(stdin io.Reader, stdout, stderr io.Writer) int {
 			return 2
 		}
 		hb = time.Duration(v) * time.Millisecond
-	}
-	st, err := Open(storeDir)
-	if err != nil {
-		fmt.Fprintln(stderr, "ibcamp worker:", err)
-		return 2
 	}
 	data, err := io.ReadAll(stdin)
 	if err != nil {
@@ -76,33 +72,17 @@ func WorkerMain(stdin io.Reader, stdout, stderr io.Writer) int {
 	// The campaign layer owns FeatureSet validation of the execution
 	// hints (the experiments package can't import the root package
 	// without a cycle).
-	fs := ibasim.FeatureSet{
-		Engine: job.Exec.Engine, Shards: job.Exec.Shards,
-		LagNs: job.LagNs, Check: job.Exec.Check, Campaign: true,
-	}
+	fs := ibasim.FeatureSet{Check: job.Exec.Check, Arb: job.Exec.Arb, Campaign: true}
 	if err := fs.Validate(); err != nil {
 		fmt.Fprintln(stderr, "ibcamp worker:", err)
 		return 2
 	}
 	hash := job.Hash()
 
-	// stdout is the protocol channel; one mutex serializes heartbeats
-	// against the final ok line.
-	var mu sync.Mutex
-	emit := func(line string) {
-		mu.Lock()
-		fmt.Fprintln(stdout, line)
-		mu.Unlock()
-	}
-
-	// Worker-level dedup: a previous attempt (or a concurrent
-	// campaign sharing the store) may already have landed this entry.
-	if _, err := st.Get(hash); err == nil {
-		emit("ok " + hash)
-		return 0
-	}
-
-	emit("hb")
+	// stdout is the protocol channel. The heartbeat goroutine is its
+	// only writer while the job runs; it has stopped before the result
+	// frame goes out, so the two never interleave.
+	fmt.Fprintln(stdout, "hb")
 	stop := make(chan struct{})
 	var hbWG sync.WaitGroup
 	hbWG.Add(1)
@@ -113,7 +93,7 @@ func WorkerMain(stdin io.Reader, stdout, stderr io.Writer) int {
 		for {
 			select {
 			case <-tick.C:
-				emit("hb")
+				fmt.Fprintln(stdout, "hb")
 			case <-stop:
 				return
 			}
@@ -132,10 +112,45 @@ func WorkerMain(stdin io.Reader, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "ibcamp worker: encoding artifact:", err)
 		return 1
 	}
-	if err := st.Put(hash, body); err != nil {
-		fmt.Fprintln(stderr, "ibcamp worker:", err)
+	if _, err := fmt.Fprintf(stdout, "ok %s %d\n%s", hash, len(body), body); err != nil {
+		fmt.Fprintln(stderr, "ibcamp worker: writing result:", err)
 		return 1
 	}
-	emit("ok " + hash)
 	return 0
+}
+
+// readWorker consumes a worker's protocol stream until EOF, calling
+// onHeartbeat per "hb" line, and returns the body of its result frame
+// (nil when the worker ended without one). A frame cut short — the
+// worker died mid-write — is an error, never a partial body.
+func readWorker(r io.Reader, onHeartbeat func()) ([]byte, error) {
+	br := bufio.NewReader(r)
+	var body []byte
+	for {
+		line, err := br.ReadString('\n')
+		if err == io.EOF {
+			if line != "" {
+				return nil, fmt.Errorf("worker output ends in a partial line %q", line)
+			}
+			return body, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		line = strings.TrimSuffix(line, "\n")
+		if line == "hb" {
+			onHeartbeat()
+			continue
+		}
+		var hash string
+		var n int64
+		if _, err := fmt.Sscanf(line, "ok %s %d", &hash, &n); err != nil || n < 0 || body != nil {
+			return nil, fmt.Errorf("bad worker protocol line %q", line)
+		}
+		var buf bytes.Buffer
+		if _, err := io.CopyN(&buf, br, n); err != nil {
+			return nil, fmt.Errorf("worker result %s cut short: %v", hash, err)
+		}
+		body = buf.Bytes()
+	}
 }

@@ -11,44 +11,37 @@ import (
 	"ibasim/internal/traffic"
 )
 
-// The wake-list arbiter makes the same claim hop fusion and the shard
-// engine make: it optimizes how arbitration work is found, not what
-// arbitration decides. These tests enforce it with the scanning
-// arbiter (-arb=scan) as the differential oracle, comparing complete
+// The wake-list arbiter makes the same claim hop fusion makes: it
+// optimizes how arbitration work is found, not what arbitration
+// decides. These tests enforce it with the scanning arbiter
+// (-arb=scan) as the differential oracle, comparing complete
 // RunResults — floats included — across queue geometries, schedulers,
-// shard counts, fused and unfused engines, the invariant auditor,
-// fault campaigns and a hot-spot contention storm that keeps most
-// service points parked on the wait lists.
+// fused and unfused engines, the invariant auditor, fault campaigns
+// and a hot-spot contention storm that keeps most service points
+// parked on the wait lists.
 
-func arbVariant(t *testing.T, spec RunSpec, arb string, shards int, unfused bool) RunResult {
+func arbVariant(t *testing.T, spec RunSpec, arb string, unfused bool) RunResult {
 	t.Helper()
 	s := spec
 	s.Fabric.Arb = arb
 	s.Fabric.Fuse = !unfused
-	if shards > 0 {
-		s.Fabric.Shards = shards
-		s.Fabric.Partition = fabric.PartitionBFS
-	}
 	res, err := Run(s)
 	if err != nil {
-		t.Fatalf("arb=%s shards=%d unfused=%v: %v", arb, shards, unfused, err)
+		t.Fatalf("arb=%s unfused=%v: %v", arb, unfused, err)
 	}
-	// ShardStats is an execution artifact, not a simulation observable;
-	// the differential compares results with it cleared.
-	res.ShardStats = nil
 	return res
 }
 
 // TestArbBitExact sweeps the calendar geometries of the scheduler
 // differential (tiny wheels wrap and overflow constantly, so kicks and
 // credit returns land in every structural regime) plus the heap
-// scheduler, comparing wake-arbiter runs — sequential, sharded, fused
-// and unfused — against the scan-arbiter sequential oracle.
+// scheduler, comparing wake-arbiter runs — fused and unfused — against
+// the scan-arbiter oracle.
 func TestArbBitExact(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs many full simulations")
 	}
-	topo := shardDiffTopo(t)
+	topo := diffTopo(t)
 	variants := []struct {
 		name string
 		opts []sim.EngineOption
@@ -61,18 +54,13 @@ func TestArbBitExact(t *testing.T) {
 		{"heap", []sim.EngineOption{sim.WithScheduler(sim.SchedulerHeap)}},
 	}
 	for _, v := range variants {
-		spec := shardDiffSpec(topo, v.opts...)
-		want := arbVariant(t, spec, fabric.ArbScan, 0, false)
-		if got := arbVariant(t, spec, fabric.ArbWake, 0, false); !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: wake sequential diverged from scan:\n got %+v\nwant %+v", v.name, got, want)
+		spec := diffSpec(topo, v.opts...)
+		want := arbVariant(t, spec, fabric.ArbScan, false)
+		if got := arbVariant(t, spec, fabric.ArbWake, false); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: wake diverged from scan:\n got %+v\nwant %+v", v.name, got, want)
 		}
-		if got := arbVariant(t, spec, fabric.ArbWake, 0, true); !reflect.DeepEqual(got, want) {
+		if got := arbVariant(t, spec, fabric.ArbWake, true); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: wake unfused diverged from scan:\n got %+v\nwant %+v", v.name, got, want)
-		}
-		for _, shards := range []int{1, 2, 4} {
-			if got := arbVariant(t, spec, fabric.ArbWake, shards, false); !reflect.DeepEqual(got, want) {
-				t.Errorf("%s: wake shards=%d diverged from scan:\n got %+v\nwant %+v", v.name, shards, got, want)
-			}
 		}
 	}
 }
@@ -85,31 +73,28 @@ func TestArbBitExactChecked(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs full simulations")
 	}
-	spec := shardDiffSpec(shardDiffTopo(t))
+	spec := diffSpec(diffTopo(t))
 	spec.Check = true
-	want := arbVariant(t, spec, fabric.ArbScan, 0, false)
+	want := arbVariant(t, spec, fabric.ArbScan, false)
 	if want.Audit.HopChecks == 0 || want.Audit.HeavyTicks == 0 {
 		t.Fatalf("auditor did not run: %+v", want.Audit)
 	}
 	if want.Audit.Violations != 0 {
 		t.Fatalf("scan oracle run is not clean: %+v", want.Audit)
 	}
-	for _, shards := range []int{0, 2} {
-		if got := arbVariant(t, spec, fabric.ArbWake, shards, false); !reflect.DeepEqual(got, want) {
-			t.Errorf("checked wake shards=%d diverged:\n got %+v\nwant %+v", shards, got, want)
-		}
+	if got := arbVariant(t, spec, fabric.ArbWake, false); !reflect.DeepEqual(got, want) {
+		t.Errorf("checked wake diverged:\n got %+v\nwant %+v", got, want)
 	}
 }
 
-// TestArbBitExactFaults runs the shard differential's fault campaign
-// under both arbiters: dead ports leave stale link-waiter entries,
+// TestArbBitExactFaults runs a fault campaign under both arbiters: dead ports leave stale link-waiter entries,
 // repairs wake wholesale, and Reroute rewrites the escape VL cache —
 // every degraded-mode observable must still match.
 func TestArbBitExactFaults(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs full fault campaigns")
 	}
-	topo := shardDiffTopo(t)
+	topo := diffTopo(t)
 	l0, l1 := topo.Links[0], topo.Links[1]
 	camp := &faults.Campaign{
 		Events: []faults.Event{
@@ -121,19 +106,17 @@ func TestArbBitExactFaults(t *testing.T) {
 		AutoReconfig: 5_000,
 		Watchdog:     faults.WatchdogConfig{SampleEvery: 5_000, Horizon: 120_000},
 	}
-	spec := shardDiffSpec(topo)
+	spec := diffSpec(topo)
 	spec.Measure = 150_000
 	spec.DrainGrace = 80_000
 	spec.Faults = camp
 	spec.FaultSeed = 3
-	want := arbVariant(t, spec, fabric.ArbScan, 0, false)
+	want := arbVariant(t, spec, fabric.ArbScan, false)
 	if want.Degraded.FaultsInjected == 0 || want.Degraded.Reconfigs == 0 {
 		t.Fatalf("campaign did not exercise faults: %+v", want.Degraded)
 	}
-	for _, shards := range []int{0, 2} {
-		if got := arbVariant(t, spec, fabric.ArbWake, shards, false); !reflect.DeepEqual(got, want) {
-			t.Errorf("faults wake shards=%d diverged:\n got %+v\nwant %+v", shards, got, want)
-		}
+	if got := arbVariant(t, spec, fabric.ArbWake, false); !reflect.DeepEqual(got, want) {
+		t.Errorf("faults wake diverged:\n got %+v\nwant %+v", got, want)
 	}
 }
 
@@ -145,16 +128,16 @@ func TestArbBitExactContentionStorm(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs saturated simulations")
 	}
-	topo := shardDiffTopo(t)
+	topo := diffTopo(t)
 	hot, err := traffic.NewHotSpot(topo.NumHosts(), 0.4, sim.NewRNG(99))
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := shardDiffSpec(topo)
+	spec := diffSpec(topo)
 	spec.Traffic.Pattern = hot
 	spec.Traffic.LoadBytesPerNsPerHost = 0.25 // deep saturation
-	want := arbVariant(t, spec, fabric.ArbScan, 0, false)
-	got := arbVariant(t, spec, fabric.ArbWake, 0, false)
+	want := arbVariant(t, spec, fabric.ArbScan, false)
+	got := arbVariant(t, spec, fabric.ArbWake, false)
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("contention storm wake diverged:\n got %+v\nwant %+v", got, want)
 	}
@@ -167,7 +150,7 @@ func TestArbBitExactContentionStorm(t *testing.T) {
 // wake arbiter serves the same entries at the same times, so traced
 // runs keep the fast path.
 func TestArbTraceIdentical(t *testing.T) {
-	spec := shardDiffSpec(shardDiffTopo(t))
+	spec := diffSpec(diffTopo(t))
 	runTraced := func(arb string) (*trace.Recorder, bool) {
 		s := spec
 		s.Fabric.Arb = arb
@@ -211,7 +194,7 @@ func TestArbTraceIdentical(t *testing.T) {
 // default-config run must actually run the wake arbiter and park
 // service points — otherwise every equivalence above is vacuous.
 func TestArbWakeEngagesInRealRuns(t *testing.T) {
-	spec := shardDiffSpec(shardDiffTopo(t))
+	spec := diffSpec(diffTopo(t))
 	var netRef *fabric.Network
 	if _, err := RunObserved(spec, func(n *fabric.Network) { netRef = n }); err != nil {
 		t.Fatal(err)

@@ -15,16 +15,12 @@ import (
 // never to make a refactor pass.
 const figure3Golden = "a175e89e1385594e72cfa8e4d2a8aa9e9ac24a5d9f0b9a84713c5e72d560219f"
 
-func figure3Artifact(t *testing.T) []byte { return figure3ArtifactSharded(t, 0) }
-
-// figure3ArtifactSharded builds the golden panel on the sharded engine
-// (shards = 0 selects the sequential default).
-func figure3ArtifactSharded(t *testing.T, shards int) []byte {
+// figure3Artifact builds the golden panel.
+func figure3Artifact(t *testing.T) []byte {
 	t.Helper()
 	sc := QuickScale()
 	sc.Sizes = []int{8}
 	sc.Topologies = 1
-	sc.Shards = shards
 	res, err := Figure3(sc, 8)
 	if err != nil {
 		t.Fatal(err)
@@ -65,22 +61,6 @@ func TestFigure3Deterministic(t *testing.T) {
 	sum := sha256.Sum256(first)
 	if got := hex.EncodeToString(sum[:]); got != figure3Golden {
 		t.Fatalf("artifact hash %s, want golden %s (simulation output drifted)", got, figure3Golden)
-	}
-}
-
-// TestFigure3GoldenSharded pins the sharded engine to the same golden
-// hash: the conservative-parallel engine must reproduce the committed
-// artifact byte-for-byte, not merely match the sequential engine of
-// the same build.
-func TestFigure3GoldenSharded(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs two QuickScale sweeps")
-	}
-	for _, shards := range []int{3, 8} {
-		sum := sha256.Sum256(figure3ArtifactSharded(t, shards))
-		if got := hex.EncodeToString(sum[:]); got != figure3Golden {
-			t.Fatalf("shards=%d artifact hash %s, want golden %s", shards, got, figure3Golden)
-		}
 	}
 }
 

@@ -14,14 +14,15 @@ package experiments
 //  1. The hash covers exactly the fields of canonicalInput, marshaled
 //     with encoding/json in declaration order, every field present
 //     (no omitempty), after Normalize filled defaults in.
-//  2. Execution hints that cannot change the result — engine choice,
-//     shard count, partitioner, scheduler, heavy checks, fusion, the
-//     arbiter —
-//     live in ExecSpec and are EXCLUDED: a run executed sharded
-//     dedups against the same run executed sequentially, which is
-//     sound because the shard engine is bit-exact (DESIGN.md §13).
-//  3. LagNs > 0 relaxes exactness and so does change results; it is
-//     part of the hash.
+//  2. Execution hints that cannot change the result — scheduler,
+//     heavy checks, fusion, the arbiter — live in ExecSpec and are
+//     EXCLUDED: a run executed with the heap scheduler dedups against
+//     the same run executed with the calendar queue, which is sound
+//     because every execution mode is bit-exact.
+//  3. The preimage keeps a constant "lagNs":0 field. It once carried
+//     the relaxed-exactness lag of the retired sharded engine; keeping
+//     it keeps every existing content address, and the campaign store
+//     entries keyed by it, valid.
 //  4. Schema is bumped whenever run semantics change, orphaning every
 //     previously cached artifact at once.
 
@@ -61,13 +62,10 @@ const JobSchemaVersion = 1
 // are excluded from the canonical input hash (see the package comment)
 // and validated against the FeatureSet table by the campaign layer.
 type ExecSpec struct {
-	Engine    string `json:"engine,omitempty"`    // "", "seq" or "shard"
-	Shards    int    `json:"shards,omitempty"`    // shard count for Engine "shard"
-	Partition string `json:"partition,omitempty"` // "", "bfs" or "roundrobin"
-	Sched     string `json:"sched,omitempty"`     // "", "calendar" or "heap"
-	Check     bool   `json:"check,omitempty"`     // heavy invariant scans
-	Unfused   bool   `json:"unfused,omitempty"`   // disable hop fusion
-	Arb       string `json:"arb,omitempty"`       // "", "wake" or "scan" arbiter
+	Sched   string `json:"sched,omitempty"`   // "", "calendar" or "heap"
+	Check   bool   `json:"check,omitempty"`   // heavy invariant scans
+	Unfused bool   `json:"unfused,omitempty"` // disable hop fusion
+	Arb     string `json:"arb,omitempty"`     // "", "wake" or "scan" arbiter
 }
 
 // JobSpec describes one run completely. The zero value is invalid;
@@ -100,10 +98,6 @@ type JobSpec struct {
 	MeasureNs    int64 `json:"measureNs"`
 	DrainGraceNs int64 `json:"drainGraceNs"`
 
-	// LagNs opts sharded execution into the relaxed-exactness mode;
-	// it changes results and is therefore hashed (rule 3).
-	LagNs int64 `json:"lagNs"`
-
 	// Faults is a compact fault-campaign spec string (faults.Parse
 	// grammar; "" = fault-free). File references are deliberately not
 	// allowed here: a job must be self-contained to hash soundly.
@@ -134,7 +128,7 @@ type canonicalInput struct {
 	WarmupNs         int64   `json:"warmupNs"`
 	MeasureNs        int64   `json:"measureNs"`
 	DrainGraceNs     int64   `json:"drainGraceNs"`
-	LagNs            int64   `json:"lagNs"`
+	LagNs            int64   `json:"lagNs"` // always 0 (rule 3)
 	Faults           string  `json:"faults"`
 	FaultSeed        uint64  `json:"faultSeed"`
 }
@@ -176,7 +170,6 @@ func (j JobSpec) CanonicalInput() []byte {
 		WarmupNs:         j.WarmupNs,
 		MeasureNs:        j.MeasureNs,
 		DrainGraceNs:     j.DrainGraceNs,
-		LagNs:            j.LagNs,
 		Faults:           j.Faults,
 		FaultSeed:        j.FaultSeed,
 	})
@@ -235,9 +228,6 @@ func (j JobSpec) Validate() error {
 	if k.WarmupNs < 0 || k.DrainGraceNs < 0 {
 		return fmt.Errorf("experiments: job warmup %dns / drain grace %dns must be non-negative", k.WarmupNs, k.DrainGraceNs)
 	}
-	if k.LagNs < 0 {
-		return fmt.Errorf("experiments: job lag %dns must be non-negative", k.LagNs)
-	}
 	if k.Faults != "" {
 		if _, err := faults.Parse(k.Faults); err != nil {
 			return fmt.Errorf("experiments: job fault spec: %w", err)
@@ -246,10 +236,7 @@ func (j JobSpec) Validate() error {
 	return nil
 }
 
-// Execute runs the job and returns its result with execution artifacts
-// (ShardStats) cleared, so the result serializes identically no matter
-// which engine produced it — the property that makes the Exec-excluded
-// content address sound.
+// Execute runs the job and returns its result.
 func (j JobSpec) Execute() (RunResult, error) {
 	j.Normalize()
 	if err := j.Validate(); err != nil {
@@ -271,14 +258,6 @@ func (j JobSpec) Execute() (RunResult, error) {
 			return RunResult{}, err
 		}
 		fcfg.EngineOpts = []sim.EngineOption{sim.WithScheduler(kind)}
-	}
-	if j.Exec.Engine == "shard" {
-		fcfg.Shards = j.Exec.Shards
-		if fcfg.Shards < 2 {
-			fcfg.Shards = 2
-		}
-		fcfg.Partition = j.Exec.Partition
-		fcfg.Lag = sim.Time(j.LagNs)
 	}
 	fcfg.Fuse = !j.Exec.Unfused
 	fcfg.Arb = j.Exec.Arb
@@ -306,6 +285,5 @@ func (j JobSpec) Execute() (RunResult, error) {
 	if err != nil {
 		return RunResult{}, err
 	}
-	res.ShardStats = nil
 	return res, nil
 }

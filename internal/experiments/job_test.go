@@ -17,14 +17,14 @@ func testJob() JobSpec {
 }
 
 // TestJobHashIgnoresExec pins canonicalization rule 2: execution hints
-// never move the content address, so a sharded run dedups against the
-// same run executed sequentially.
+// never move the content address, so a run executed with the heap
+// scheduler dedups against the same run on the calendar queue.
 func TestJobHashIgnoresExec(t *testing.T) {
 	base := testJob()
 	variants := []ExecSpec{
 		{},
-		{Engine: "seq", Sched: "heap"},
-		{Engine: "shard", Shards: 4, Partition: "roundrobin"},
+		{Sched: "heap"},
+		{Arb: "scan"},
 		{Check: true, Unfused: true},
 	}
 	want := base.Hash()
@@ -34,6 +34,26 @@ func TestJobHashIgnoresExec(t *testing.T) {
 		if got := j.Hash(); got != want {
 			t.Fatalf("Exec %+v moved the hash: %s != %s", ex, got, want)
 		}
+	}
+}
+
+// TestJobHashPinned pins rule 3 and the content address itself: the
+// hash of one fully specified job is a constant across versions, so
+// every artifact already in a campaign store stays addressable. It
+// fails if the preimage loses its constant "lagNs":0 field or changes
+// in any other way.
+func TestJobHashPinned(t *testing.T) {
+	j := JobSpec{
+		Schema: 1, Switches: 16, HostsPerSwitch: 4, Links: 4, TopoSeed: 3,
+		MR: 4, Enhanced: true,
+		Pattern: PatternSpec{Kind: "hot-spot", Fraction: 0.25}, PacketSize: 256,
+		AdaptiveFraction: 0.5, Load: 0.02, Seed: 7,
+		WarmupNs: 10_000, MeasureNs: 50_000, DrainGraceNs: 20_000,
+		Faults: "rand:1:1000@2000-3000", FaultSeed: 9,
+	}
+	const want = "43dd94d1a374dbc4bd2e21629d5f5e88106e0d6ee0a0016cb3ed3bc515d46068"
+	if got := j.Hash(); got != want {
+		t.Fatalf("content address moved: %s, want %s\npreimage %s", got, want, j.CanonicalInput())
 	}
 }
 
@@ -56,7 +76,7 @@ func TestJobHashNormalizationEquivalence(t *testing.T) {
 }
 
 // TestJobHashCoversResultInputs: every result-determining field must
-// move the hash (rule 3 makes LagNs the interesting case).
+// move the hash.
 func TestJobHashCoversResultInputs(t *testing.T) {
 	base := testJob()
 	mutations := map[string]func(*JobSpec){
@@ -71,7 +91,6 @@ func TestJobHashCoversResultInputs(t *testing.T) {
 		"load":       func(j *JobSpec) { j.Load = 0.02 },
 		"seed":       func(j *JobSpec) { j.Seed = 7 },
 		"measure":    func(j *JobSpec) { j.MeasureNs = 30_000 },
-		"lag":        func(j *JobSpec) { j.LagNs = 500 },
 		"faults":     func(j *JobSpec) { j.Faults = "rand:1:1000@2000-3000" },
 		"faultSeed":  func(j *JobSpec) { j.FaultSeed = 9 },
 	}
@@ -99,7 +118,6 @@ func TestJobValidate(t *testing.T) {
 		{"bad-pattern", func(j *JobSpec) { j.Pattern.Kind = "zipf" }, `pattern "zipf" unknown`},
 		{"hot-spot-no-fraction", func(j *JobSpec) { j.Pattern = PatternSpec{Kind: "hot-spot"} }, "hot-spot fraction"},
 		{"nan-load", func(j *JobSpec) { j.Load = nan() }, "load"},
-		{"negative-lag", func(j *JobSpec) { j.LagNs = -1 }, "lag"},
 		{"bad-faults", func(j *JobSpec) { j.Faults = "florp:1" }, "fault spec"},
 		{"zero-measure", func(j *JobSpec) { j.MeasureNs = 0 }, "measurement window"},
 	}
@@ -120,8 +138,8 @@ func TestJobValidate(t *testing.T) {
 }
 
 // TestJobExecuteDeterministic: the same spec executed twice serializes
-// to identical bytes with ShardStats cleared — the property that makes
-// content addressing byte-exact across resumes.
+// to identical bytes — the property that makes content addressing
+// byte-exact across resumes.
 func TestJobExecuteDeterministic(t *testing.T) {
 	j := testJob()
 	r1, err := j.Execute()
@@ -137,35 +155,8 @@ func TestJobExecuteDeterministic(t *testing.T) {
 	if string(b1) != string(b2) {
 		t.Fatalf("Execute is not reproducible:\n%s\n%s", b1, b2)
 	}
-	if r1.ShardStats != nil {
-		t.Fatal("Execute leaked ShardStats into the result")
-	}
 	if r1.PacketsMeasured == 0 {
 		t.Fatal("job measured no packets; spec too small to mean anything")
-	}
-}
-
-// TestJobExecuteEngineInvariant: rule 2's soundness — the sharded
-// engine must produce the byte-identical artifact for the same address.
-func TestJobExecuteEngineInvariant(t *testing.T) {
-	seq := testJob()
-	shard := testJob()
-	shard.Exec = ExecSpec{Engine: "shard", Shards: 2}
-	if seq.Hash() != shard.Hash() {
-		t.Fatalf("hashes differ: %s vs %s", seq.Hash(), shard.Hash())
-	}
-	r1, err := seq.Execute()
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := shard.Execute()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b1, _ := json.Marshal(r1)
-	b2, _ := json.Marshal(r2)
-	if string(b1) != string(b2) {
-		t.Fatalf("seq and shard artifacts differ for one content address:\n%s\n%s", b1, b2)
 	}
 }
 

@@ -91,8 +91,7 @@ type RunResult struct {
 	// or not — so orchestration layers can surface flaky-run
 	// diagnostics (a run that needed many re-injections, or whose worst
 	// packet brushed the retry budget) without parsing DegradedStats.
-	// All zero when Fabric.Retry is disabled. Engine-invariant: the
-	// sharded engine reproduces these counters bit-exactly.
+	// All zero when Fabric.Retry is disabled.
 	Retry RetryStats
 
 	// Degraded-mode observables; all zero unless RunSpec.Faults ran a
@@ -102,19 +101,14 @@ type RunResult struct {
 	// Audit summarizes the invariant auditor's pass over the run.
 	Audit AuditStats
 
-	// ShardStats is the per-shard imbalance report of a sharded run
-	// (nil on the sequential engine): events dispatched, windows run
-	// and stalled, mail volume. An execution artifact, not a simulation
-	// observable — the same physical result reached at a different
-	// shard count reports different stats, so the bit-exactness
-	// differentials compare results with this field cleared and the
-	// artifact writer never serializes it.
+	// ShardStats is always nil. The retired sharded engine filled it;
+	// it stays only because the frozen benchmark (perfbench/) names it
+	// and every stored campaign artifact carries "ShardStats":null,
+	// which the strict artifact decoder would otherwise reject.
 	ShardStats []fabric.ShardStat
 }
 
-// AuditStats condenses the auditor's report for result plumbing. The
-// counters are engine-invariant: hop checks count forwarding
-// decisions, which the sharded engine reproduces bit-exactly.
+// AuditStats condenses the auditor's report for result plumbing.
 type AuditStats struct {
 	HopChecks  uint64
 	HeavyTicks uint64 // 0 unless RunSpec.Check
@@ -244,7 +238,7 @@ func RunObserved(spec RunSpec, observe func(*fabric.Network)) (RunResult, error)
 		ReorderAvgDelayNs:  col.Reorder.AvgReorderDelay(),
 	}
 	if fcfg.Retry.Enabled() {
-		fs := net.FaultTotals()
+		fs := net.Faults
 		res.Retry = RetryStats{
 			Retries:        fs.Retries,
 			Lost:           fs.Lost,
@@ -255,8 +249,7 @@ func RunObserved(spec RunSpec, observe func(*fabric.Network)) (RunResult, error)
 	}
 	if inj != nil {
 		dog.Stop()
-		inj.Finalize()
-		fs := net.FaultTotals()
+		fs := net.Faults
 		res.Degraded = DegradedStats{
 			FaultsInjected:    inj.FaultsInjected,
 			Repairs:           inj.Repairs,
@@ -278,7 +271,6 @@ func RunObserved(spec RunSpec, observe func(*fabric.Network)) (RunResult, error)
 			return res, err
 		}
 	}
-	res.ShardStats = net.ShardStats()
 	arep := aud.Finalize()
 	res.Audit = AuditStats{
 		HopChecks:  arep.HopChecks,
@@ -289,9 +281,8 @@ func RunObserved(spec RunSpec, observe func(*fabric.Network)) (RunResult, error)
 		res.Audit.First = err.Error()
 		return res, err
 	}
-	// Hand the drained queue storage back to the sweep's arena — every
-	// engine's, shard queues included (no-op unless the spec carried
-	// sim.WithArena).
+	// Hand the drained queue storage back to the sweep's arena (no-op
+	// unless the spec carried sim.WithArena).
 	net.Recycle()
 	return res, nil
 }
@@ -410,19 +401,6 @@ type Scale struct {
 	// overrides. Empty means the engine defaults (calendar queue).
 	EngineOpts []sim.EngineOption
 
-	// Shards > 1 runs every simulation on the conservative-parallel
-	// sharded engine (bit-exact with the sequential default);
-	// Partition selects the switch partitioner (fabric.PartitionBFS
-	// when empty).
-	Shards    int
-	Partition string
-
-	// Lag opts sharded runs into the relaxed-exactness mode: window
-	// bounds widen by this many simulated nanoseconds and late imports
-	// clamp to the local clock (fabric.Config.Lag). 0 keeps sharded
-	// runs bit-identical to sequential.
-	Lag sim.Time
-
 	// Check enables the invariant auditor's heavy scans on every run
 	// (the -check CLI flag); results stay bit-identical.
 	Check bool
@@ -499,9 +477,6 @@ func (sc Scale) Spec(topo *topology.Topology, mr, pktSize int, adaptiveFrac floa
 	fcfg := fabric.DefaultConfig()
 	fcfg.AdaptiveSwitches = enhanced
 	fcfg.EngineOpts = sc.EngineOpts
-	fcfg.Shards = sc.Shards
-	fcfg.Partition = sc.Partition
-	fcfg.Lag = sc.Lag
 	fcfg.Fuse = !sc.Unfused
 	fcfg.Arb = sc.Arb
 	return RunSpec{

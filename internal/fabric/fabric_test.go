@@ -387,3 +387,40 @@ func TestMultiVLConfiguration(t *testing.T) {
 		t.Fatalf("delivered %d, want 400", delivered)
 	}
 }
+
+// TestRecycleReturnsQueue is the sweep-arena gate: Network.Recycle must
+// hand the engine's queue storage back so the next sweep point reuses
+// it.
+func TestRecycleReturnsQueue(t *testing.T) {
+	topo, err := topology.Line(8, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := ib.NewAddressPlan(topo.NumHosts(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	arena := sim.NewQueueArena()
+	cfg := fabric.DefaultConfig()
+	cfg.EngineOpts = []sim.EngineOption{sim.WithArena(arena)}
+	net, err := fabric.NewNetwork(topo, plan, cfg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net.Recycle()
+	if got := arena.Pooled(); got != 1 {
+		t.Fatalf("arena pooled %d queues after Recycle, want 1", got)
+	}
+	// A second network with the same config must draw it back out.
+	net2, err := fabric.NewNetwork(topo, plan, cfg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := arena.Pooled(); got != 0 {
+		t.Fatalf("arena still pools %d queues after rebuild, want 0", got)
+	}
+	net2.Recycle()
+	if got := arena.Pooled(); got != 1 {
+		t.Fatalf("arena pooled %d queues after second Recycle, want 1", got)
+	}
+}

@@ -15,7 +15,6 @@ import (
 // delay rather than drops.
 type Host struct {
 	net *Network
-	ctx *execCtx // execution context (shard) owning this host
 	id  int
 
 	out *outPort // link toward the attached switch
@@ -58,10 +57,9 @@ type Host struct {
 // ID returns the host's global index.
 func (h *Host) ID() int { return h.id }
 
-// Engine returns the simulation engine this host's events run on: the
-// network's engine sequentially, the owning shard's engine in sharded
-// mode. Traffic generators schedule injection events on it.
-func (h *Host) Engine() *sim.Engine { return h.ctx.eng }
+// Engine returns the simulation engine this host's events run on.
+// Traffic generators schedule injection events on it.
+func (h *Host) Engine() *sim.Engine { return h.net.Engine }
 
 // QueueLen returns the number of packets waiting in the source queue.
 func (h *Host) QueueLen() int { return len(h.queue) - h.qhead }
@@ -112,11 +110,9 @@ func (h *Host) Inject(pkt *ib.Packet) {
 	}
 	pkt.SeqNo = h.nextSeq[pkt.Dst]
 	h.nextSeq[pkt.Dst]++
-	pkt.QueuedAt = h.ctx.eng.Now()
+	pkt.QueuedAt = h.net.Engine.Now()
 	h.qPush(pkt)
-	if h.ctx.onCreated != nil {
-		h.ctx.onCreated(pkt)
-	} else if h.net.OnCreated != nil {
+	if h.net.OnCreated != nil {
 		h.net.OnCreated(pkt)
 	}
 	h.armSendTimeout()
@@ -125,8 +121,8 @@ func (h *Host) Inject(pkt *ib.Packet) {
 	// when that event is alone on its timestamp the delay-0 injection
 	// pass kick would schedule is popped immediately next — so it runs
 	// inline instead. Quiescence also implies injPending is false.
-	if h.net.fuse && !h.net.inMerged && h.ctx.eng.Quiescent() {
-		h.ctx.fusedKicks++
+	if h.net.fuse && h.net.Engine.Quiescent() {
+		h.net.fusedKicks++
 		if prof.HotPhasesEnabled() {
 			prof.Phase(prof.PhaseFused, h.tryInject)
 			return
@@ -141,7 +137,7 @@ func (h *Host) Inject(pkt *ib.Packet) {
 // retry): it keeps its identity and SeqNo but restarts its journey.
 func (h *Host) requeue(pkt *ib.Packet) {
 	pkt.Hops = 0
-	pkt.QueuedAt = h.ctx.eng.Now()
+	pkt.QueuedAt = h.net.Engine.Now()
 	h.qPush(pkt)
 	h.armSendTimeout()
 	h.kick()
@@ -153,7 +149,7 @@ func (h *Host) kick() {
 		return
 	}
 	h.injPending = true
-	h.ctx.eng.Schedule(0, h.injectFn)
+	h.net.Engine.Schedule(0, h.injectFn)
 }
 
 // inlinePass runs the injection attempt synchronously — the hop-fusion
@@ -187,12 +183,12 @@ func (h *Host) armSendTimeout() {
 		return
 	}
 	h.timeoutArmed = deadline
-	now := h.ctx.eng.Now()
+	now := h.net.Engine.Now()
 	delay := deadline - now
 	if delay < 0 {
 		delay = 0
 	}
-	h.ctx.eng.Schedule(delay, h.timeoutFn)
+	h.net.Engine.Schedule(delay, h.timeoutFn)
 }
 
 // expireHead drops every queue-head packet whose send deadline has
@@ -202,16 +198,16 @@ func (h *Host) expireHead() {
 	if to <= 0 {
 		return
 	}
-	now := h.ctx.eng.Now()
+	now := h.net.Engine.Now()
 	for h.QueueLen() > 0 && now-h.queue[h.qhead].QueuedAt >= to {
-		h.ctx.dropPacket(h.qPop(), DropTimeout)
+		h.net.dropPacket(h.qPop(), DropTimeout)
 	}
 }
 
 // tryInject starts transmitting queued packets while the link is free
 // and the switch's input buffer has room for the whole packet.
 func (h *Host) tryInject() {
-	now := h.ctx.eng.Now()
+	now := h.net.Engine.Now()
 	for h.QueueLen() > 0 {
 		pkt := h.queue[h.qhead]
 		if !h.out.free(now) {
@@ -229,10 +225,10 @@ func (h *Host) tryInject() {
 		h.out.txPackets++
 		pkt.InjectedAt = now
 		h.Injected++
-		h.ctx.moved++
+		h.net.moved++
 
-		h.ctx.scheduleReceive(ib.PropagationDelay, h.out.peerSwitch, h.out.peerPort, vl, pkt)
-		h.ctx.scheduleHostKick(ser, h)
+		h.net.scheduleReceive(ib.PropagationDelay, h.out.peerSwitch, h.out.peerPort, vl, pkt)
+		h.net.scheduleHostKick(ser, h)
 		return // the link is now busy; the ser-kick continues the queue
 	}
 }
@@ -242,12 +238,10 @@ func (h *Host) deliver(pkt *ib.Packet) {
 	if pkt.Dst != h.id {
 		panic(fmt.Sprintf("fabric: packet %v delivered to host %d", pkt, h.id))
 	}
-	pkt.DeliveredAt = h.ctx.eng.Now()
+	pkt.DeliveredAt = h.net.Engine.Now()
 	h.Delivered++
-	h.ctx.moved++
-	if h.ctx.onDelivered != nil {
-		h.ctx.onDelivered(pkt)
-	} else if h.net.OnDelivered != nil {
+	h.net.moved++
+	if h.net.OnDelivered != nil {
 		h.net.OnDelivered(pkt)
 	}
 }

@@ -24,22 +24,23 @@ type Network struct {
 
 	rng *sim.RNG
 
-	// ctl is the control (and, when Cfg.Shards <= 1, the only)
-	// execution context; its engine is the exported Engine. The rest
-	// exists only in sharded mode (see shard.go): the partition map,
-	// the global-min lookahead summary, the per-channel delay-bound
-	// matrix chanDist[src][dst], the padded barrier time board, the
-	// relaxed-exactness lag, the recycled outbox backing arrays and
-	// the mail-observer test seam.
-	ctl       *execCtx
-	shards    []*execCtx
-	partition []int
-	lookahead sim.Time
-	chanDist  [][]sim.Time
-	board     *sim.TimeBoard
-	lag       sim.Time
-	boxFree   [][]mail
-	onMail    func(src, dst int, at, schedAt sim.Time)
+	// Hot-path pools (see pool.go): the event freelist and the
+	// struct-of-arrays store for buffered-packet state (see
+	// vlbuffer.go). pktSlab is the tail of the current packet
+	// allocation block NewPacket carves from; pktBlocks remembers every
+	// block consumed so Recycle can hand them back to the sweep's
+	// PacketArena.
+	evFree    []*fabricEvent
+	slab      entrySlab
+	pktSlab   []ib.Packet
+	pktBlocks [][]ib.Packet
+
+	// nextID numbers created packets 1, 2, 3, ...; moved counts packet
+	// movements (Moved); fusedKicks counts kick events whose delay-0
+	// pass ran inline (FusedKicks).
+	nextID     uint64
+	moved      uint64
+	fusedKicks uint64
 
 	// OnCreated fires when a packet enters a source queue; OnDelivered
 	// when it reaches its destination CA; OnHop when a switch starts
@@ -57,9 +58,8 @@ type Network struct {
 	// per drop, not once per loss.
 	OnDropped func(p *ib.Packet, reason DropReason)
 
-	// Faults accumulates the degraded-mode counters of the sequential
-	// and control contexts. All zero on a fault-free run. Sharded runs
-	// keep per-shard counters too; FaultTotals sums everything.
+	// Faults accumulates the degraded-mode counters. All zero on a
+	// fault-free run.
 	Faults FaultStats
 
 	// tamper holds the mutation-suite fault model (see tamper.go). Zero
@@ -69,13 +69,9 @@ type Network struct {
 
 	// fuse is the hop-fusion runtime switch the kick dispatch reads:
 	// Cfg.Fuse, forced off while an observer demands per-hop events
-	// (defused) or a tamper model is installed. inMerged marks the
-	// sharded coordinator's merged control phase, where same-timestamp
-	// events on other engines make the single-queue quiescence test
-	// unsound (see pool.go and runMergedAt).
-	fuse     bool
-	defused  bool
-	inMerged bool
+	// (defused) or a tamper model is installed (see pool.go).
+	fuse    bool
+	defused bool
 
 	// wake is the arbiter runtime switch: Cfg.Arb resolves to the
 	// wake-list arbiter, forced to the scan oracle while a tamper
@@ -141,16 +137,35 @@ func (n *Network) Defuse() {
 // Fused reports whether the hop-fusion fast path is currently armed.
 func (n *Network) Fused() bool { return n.fuse }
 
-// FusedKicks sums, over every execution context, the kick events whose
-// delay-0 allocation/injection pass ran inline instead of being
-// scheduled. Tests use it to prove the fast path engaged (or was
-// forced off).
-func (n *Network) FusedKicks() uint64 {
-	k := n.ctl.fusedKicks
-	for _, s := range n.shards {
-		k += s.fusedKicks
+// FusedKicks counts the kick events whose delay-0
+// allocation/injection pass ran inline instead of being scheduled.
+// Tests use it to prove the fast path engaged (or was forced off).
+func (n *Network) FusedKicks() uint64 { return n.fusedKicks }
+
+// ShardStat is the element type of RunResult.ShardStats, a field the
+// retired sharded engine filled. It stays only because the frozen
+// benchmark (perfbench/) names it and every stored campaign artifact
+// carries "ShardStats":null; nothing produces one.
+type ShardStat struct{}
+
+// ShardStats always returns nil: the network runs on one engine. It
+// stays only because the frozen benchmark (perfbench/) calls it.
+func (n *Network) ShardStats() []ShardStat { return nil }
+
+// Run advances the simulation to the horizon.
+func (n *Network) Run(horizon sim.Time) { n.Engine.Run(horizon) }
+
+// Recycle returns the engine's queue storage to the arena the network
+// was built with (sim.WithArena), so a sweep's next network reuses it;
+// packet slab blocks go back to Cfg.PacketArena the same way. The
+// caller asserts the run is over and nothing retains a *ib.Packet from
+// it. Without arenas it is a no-op; calling it twice is safe.
+func (n *Network) Recycle() {
+	n.Engine.Recycle()
+	if a := n.Cfg.PacketArena; a != nil {
+		a.put(n.pktBlocks)
+		n.pktBlocks, n.pktSlab = nil, nil
 	}
-	return k
 }
 
 // DropReason classifies why the fabric discarded a packet.
@@ -205,46 +220,42 @@ func (f FaultStats) Dropped() uint64 {
 	return f.DroppedUnroutable + f.DroppedOnDeadPort + f.DroppedTimeout
 }
 
+// FaultTotals returns the degraded-mode counters: the exported Faults
+// field, kept as a method because the frozen benchmark calls it.
+func (n *Network) FaultTotals() FaultStats { return n.Faults }
+
 // Moved returns the total number of packet movements (injections,
 // hops, deliveries, drops) so far — a monotone progress clock for
-// deadlock detection. Sums every execution context.
-func (n *Network) Moved() uint64 {
-	m := n.ctl.moved
-	for _, s := range n.shards {
-		m += s.moved
-	}
-	return m
-}
+// deadlock detection.
+func (n *Network) Moved() uint64 { return n.moved }
 
 // dropPacket accounts one discarded packet and, when the retry policy
 // allows, schedules its re-injection at the source with exponential
 // backoff.
-func (c *execCtx) dropPacket(pkt *ib.Packet, reason DropReason) {
+func (n *Network) dropPacket(pkt *ib.Packet, reason DropReason) {
 	switch reason {
 	case DropUnroutable:
-		c.faults.DroppedUnroutable++
+		n.Faults.DroppedUnroutable++
 	case DropDeadPort:
-		c.faults.DroppedOnDeadPort++
+		n.Faults.DroppedOnDeadPort++
 	case DropTimeout:
-		c.faults.DroppedTimeout++
+		n.Faults.DroppedTimeout++
 	}
-	c.moved++
-	if c.onDropped != nil {
-		c.onDropped(pkt, reason)
-	} else if c.net.OnDropped != nil {
-		c.net.OnDropped(pkt, reason)
+	n.moved++
+	if n.OnDropped != nil {
+		n.OnDropped(pkt, reason)
 	}
-	rp := c.net.Cfg.Retry
+	rp := n.Cfg.Retry
 	if rp.MaxRetries > 0 && pkt.Attempts < rp.MaxRetries {
 		pkt.Attempts++
-		c.faults.Retries++
-		if pkt.Attempts > c.faults.MaxAttempts {
-			c.faults.MaxAttempts = pkt.Attempts
+		n.Faults.Retries++
+		if pkt.Attempts > n.Faults.MaxAttempts {
+			n.Faults.MaxAttempts = pkt.Attempts
 		}
-		c.scheduleRequeue(rp.backoff(pkt.Attempts), c.net.Hosts[pkt.Src], pkt)
+		n.scheduleRequeue(rp.backoff(pkt.Attempts), n.Hosts[pkt.Src], pkt)
 		return
 	}
-	c.faults.Lost++
+	n.Faults.Lost++
 }
 
 // NewNetwork wires a subnet over the topology. The LMC is chosen by
@@ -280,7 +291,6 @@ func NewNetwork(topo *topology.Topology, plan *ib.AddressPlan, cfg Config, seed 
 		Cfg:    cfg,
 		rng:    sim.NewRNG(seed ^ 0x4641425249435F), // package tag
 	}
-	net.ctl = &execCtx{net: net, id: -1, eng: net.Engine, faults: &net.Faults}
 	net.applyFuse()
 	net.applyArb()
 
@@ -303,7 +313,6 @@ func NewNetwork(topo *topology.Topology, plan *ib.AddressPlan, cfg Config, seed 
 		}
 		net.Switches = append(net.Switches, &Switch{
 			net:      net,
-			ctx:      net.ctl,
 			id:       s,
 			enhanced: cfg.AdaptiveSwitches && !detOnly[s],
 			table:    table,
@@ -313,7 +322,7 @@ func NewNetwork(topo *topology.Topology, plan *ib.AddressPlan, cfg Config, seed 
 		})
 	}
 	for h := 0; h < topo.NumHosts(); h++ {
-		net.Hosts = append(net.Hosts, &Host{net: net, ctx: net.ctl, id: h, nextSeq: make([]uint64, topo.NumHosts())})
+		net.Hosts = append(net.Hosts, &Host{net: net, id: h, nextSeq: make([]uint64, topo.NumHosts())})
 	}
 
 	// Wire host links: host h occupies its switch's host-port slot
@@ -368,22 +377,6 @@ func NewNetwork(topo *topology.Topology, plan *ib.AddressPlan, cfg Config, seed 
 		a, b := net.Switches[l.A], net.Switches[l.B]
 		net.wire(a, pa, b, pb)
 		net.wire(b, pb, a, pa)
-	}
-	// Partition into shards (no-op for Cfg.Shards <= 1), then stamp
-	// every output port with its owner's execution context so credit
-	// returns route to the right engine.
-	if err := net.buildShards(engineOpts); err != nil {
-		return nil, err
-	}
-	for _, sw := range net.Switches {
-		for _, o := range sw.out {
-			if o != nil {
-				o.ctx = sw.ctx
-			}
-		}
-	}
-	for _, h := range net.Hosts {
-		h.out.ctx = h.ctx
 	}
 	// Wiring is final: freeze the per-node hot-path state (cached
 	// service points, bound event closures).
@@ -441,31 +434,22 @@ func (n *Network) newVLBuffers(enhanced bool) []*vlBuffer {
 // of the alternative deterministic paths uniformly at random — the
 // source-node path selection of the paper's introduction.
 func (n *Network) NewPacket(src, dst, size int, adaptive bool) *ib.Packet {
-	// Packet creation runs on the source host's context (the traffic
-	// generator schedules injections on the host's engine). IDs are
-	// strided by shard count so they stay globally unique; with one
-	// context the numbering reduces to the sequential 1, 2, 3, ...
-	c := n.Hosts[src].ctx
-	c.nextID++
-	id := c.nextID
-	if stride := len(n.shards); stride > 1 {
-		id = id*uint64(stride) + uint64(c.id)
-	}
+	n.nextID++
 	dlid := n.Plan.DLIDFor(dst, adaptive)
 	if k := n.Cfg.SourceMultipath; k > 1 {
 		adaptive = false
 		dlid = n.Plan.BaseLID(dst) + ib.LID(n.rng.Intn(k))
 	}
-	pkt := c.getPacket()
+	pkt := n.getPacket()
 	*pkt = ib.Packet{
-		ID:        id,
+		ID:        n.nextID,
 		Src:       src,
 		Dst:       dst,
 		SLID:      n.Plan.BaseLID(src),
 		DLID:      dlid,
 		Size:      size,
 		Adaptive:  adaptive && n.Plan.LMC > 0,
-		CreatedAt: c.eng.Now(),
+		CreatedAt: n.Engine.Now(),
 	}
 	return pkt
 }

@@ -55,13 +55,3 @@ func TestBackoffZeroBaseClampsToOne(t *testing.T) {
 		t.Errorf("backoff(1) with zero base = %d, want 1", got)
 	}
 }
-
-func TestRetryFloorUsesEffectiveCap(t *testing.T) {
-	// A base above the default cap floors at the cap, not the base:
-	// the shard lookahead must not assume a delay the capped backoff
-	// can no longer guarantee.
-	r := RetryConfig{MaxRetries: 2, BackoffBase: 2 * DefaultBackoffCap}
-	if got := retryFloor(r); got != DefaultBackoffCap {
-		t.Errorf("retryFloor = %d, want %d", got, DefaultBackoffCap)
-	}
-}

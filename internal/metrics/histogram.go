@@ -29,14 +29,6 @@ func (h *Histogram) Add(v sim.Time) {
 	h.count++
 }
 
-// Merge folds another histogram into h (bucket-wise addition; exact).
-func (h *Histogram) Merge(o *Histogram) {
-	for b, n := range o.buckets {
-		h.buckets[b] += n
-	}
-	h.count += o.count
-}
-
 // Count returns the number of samples.
 func (h *Histogram) Count() uint64 { return h.count }
 

@@ -18,13 +18,6 @@ import (
 
 type flowKey struct{ src, dst int }
 
-// Step records the buffer occupancy after the last delivery of one
-// simulated timestamp (see Buffer.TrackSteps).
-type Step struct {
-	At   sim.Time
-	Held int
-}
-
 // Buffer reassembles sequence order per flow.
 type Buffer struct {
 	expected map[flowKey]uint64
@@ -47,19 +40,11 @@ type Buffer struct {
 	PeakHeld     int      // peak end-of-timestamp occupancy; final after Finalize
 	ReorderDelay sim.Time // total extra waiting summed over parked packets
 
-	// TrackSteps, when set before the first Deliver, logs the
-	// occupancy after each distinct delivery timestamp. Sharded runs
-	// enable it on the per-shard buffers so MergePeak can reconstruct
-	// the global occupancy profile exactly.
-	TrackSteps bool
-	steps      []Step
-
 	// Peak occupancy is sampled once per simulated timestamp, at the
 	// occupancy left after the last delivery of that timestamp — not
 	// at every park. Mid-timestamp transients depend on the dispatch
-	// order of equal-time deliveries at different hosts, which is the
-	// one thing a sharded run does not reproduce; end-of-timestamp
-	// occupancy is order-free, so both engines report the same peak.
+	// order of equal-time deliveries at different hosts;
+	// end-of-timestamp occupancy does not.
 	lastAt  sim.Time
 	hasLast bool
 
@@ -97,9 +82,6 @@ func NewBufferForHosts(numHosts int) *Buffer {
 func (b *Buffer) closeStep() {
 	if b.CurrentHeld > b.PeakHeld {
 		b.PeakHeld = b.CurrentHeld
-	}
-	if b.TrackSteps {
-		b.steps = append(b.steps, Step{At: b.lastAt, Held: b.CurrentHeld})
 	}
 }
 
@@ -162,48 +144,11 @@ func (b *Buffer) Deliver(p *ib.Packet, now sim.Time) []*ib.Packet {
 }
 
 // Finalize closes the last timestamp's occupancy sample. Idempotent;
-// PeakHeld (and the step log) are complete afterwards.
+// PeakHeld is complete afterwards.
 func (b *Buffer) Finalize() {
 	if b.hasLast {
 		b.closeStep()
 		b.hasLast = false
-	}
-}
-
-// Steps returns the occupancy step log (TrackSteps must have been set;
-// call Finalize first).
-func (b *Buffer) Steps() []Step { return b.steps }
-
-// MergePeak reconstructs the peak end-of-timestamp occupancy of the
-// union of several finalized, step-tracked buffers holding disjoint
-// flow sets (the per-shard buffers of a sharded run). Because the
-// flows are disjoint, the global occupancy at any time is the sum of
-// the per-buffer occupancies, which only changes at step times; the
-// walk visits the union of step times in order and takes the maximum.
-func MergePeak(bufs []*Buffer) int {
-	idx := make([]int, len(bufs))
-	cur := make([]int, len(bufs))
-	peak, sum := 0, 0
-	for {
-		next := sim.Forever
-		for i, b := range bufs {
-			if idx[i] < len(b.steps) && b.steps[idx[i]].At < next {
-				next = b.steps[idx[i]].At
-			}
-		}
-		if next == sim.Forever {
-			return peak
-		}
-		for i, b := range bufs {
-			if idx[i] < len(b.steps) && b.steps[idx[i]].At == next {
-				sum += b.steps[idx[i]].Held - cur[i]
-				cur[i] = b.steps[idx[i]].Held
-				idx[i]++
-			}
-		}
-		if sum > peak {
-			peak = sum
-		}
 	}
 }
 

@@ -47,8 +47,7 @@ func (a *QueueArena) put(q *calendarQueue) {
 }
 
 // Pooled reports how many recycled queues the arena currently holds
-// (shard tests verify a sharded network returns every engine's
-// storage, not just the control engine's).
+// (tests use it to verify a network returns its engine's storage).
 func (a *QueueArena) Pooled() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()

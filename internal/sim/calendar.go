@@ -175,22 +175,6 @@ func (q *calendarQueue) dropHead(s []event) {
 	q.count--
 }
 
-// peek returns the earliest event without removing it, under the same
-// full (at, schedAt, seq) order as pop. It must not be called on an
-// empty queue.
-func (q *calendarQueue) peek() event {
-	if !q.nextWheel() {
-		q.migrate()
-	}
-	e := q.slots[q.cur][q.head]
-	if q.overflow.len() > 0 {
-		if o := q.overflow.peek(); eventLess(o, e) {
-			return o
-		}
-	}
-	return e
-}
-
 func (q *calendarQueue) peekTime() Time {
 	if !q.nextWheel() {
 		if q.overflow.len() == 0 {
@@ -304,11 +288,9 @@ func (q *calendarQueue) appendSlot(i int, e event) {
 }
 
 // insertCurrent places e at its sorted position within the undrained
-// remainder of the cursor bucket. A locally scheduled event carries
-// the largest (schedAt, seq) issued so far, so among equal timestamps
-// it lands after every incumbent; imported events (Engine.PushAt) may
-// carry an older schedAt and land earlier — the binary search on the
-// full (at, schedAt, seq) order covers both.
+// remainder of the cursor bucket. A new event carries the largest seq
+// issued so far, so among equal timestamps it lands after every
+// incumbent; the binary search only has to place it by timestamp.
 func (q *calendarQueue) insertCurrent(e event) {
 	s := q.slots[q.cur]
 	lo, hi := q.head, len(s)
@@ -326,7 +308,7 @@ func (q *calendarQueue) insertCurrent(e event) {
 	s[lo] = e
 }
 
-// sortEvents orders a bucket by (at, schedAt, seq). Keys are unique, so an
+// sortEvents orders a bucket by (at, seq). Keys are unique, so an
 // unstable sort yields the exact dispatch order. Buckets fill in seq
 // order and mostly in at order, a pattern pdqsort handles in near
 // linear time; the call allocates nothing.

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Engine is the discrete-event simulation core. Components schedule
 // callbacks at future simulated times; Run dispatches them in
@@ -18,16 +15,15 @@ type Engine struct {
 	arena     *QueueArena
 
 	// imm is the immediate-event FIFO: delay-0 events scheduled while
-	// the engine is mid-dispatch. Such an event's packed key carries age
-	// ^(at-schedAt) = ^0, the maximum, so it provably orders after
-	// every same-timestamp event already in the queue (whose age fields
-	// are all smaller) and among its peers by sequence — i.e. exactly
-	// FIFO. Keeping them out of the wheel replaces a sorted-bucket
-	// insert and cursor pop per delay-0 event (the dominant event kind
-	// of a saturated switch: every coalesced allocation-pass kick) with
-	// a slice append and read. imm drains completely before Run or
-	// RunBefore returns, so it is empty whenever the coordinator peeks
-	// or steps an engine between windows.
+	// the engine is mid-dispatch. Such an event carries the largest seq
+	// issued so far, so it provably orders after every same-timestamp
+	// event already in the queue and among its peers by sequence —
+	// i.e. exactly FIFO. Keeping them out of the wheel replaces a
+	// sorted-bucket insert and cursor pop per delay-0 event (the
+	// dominant event kind of a saturated switch: every coalesced
+	// allocation-pass kick) with a slice append and read. imm drains
+	// completely before Run returns, so it is empty whenever a caller
+	// steps the engine between runs.
 	imm     []event
 	immHead int
 }
@@ -136,70 +132,13 @@ func (e *Engine) AtAction(t Time, a Action) {
 	}
 	if t == e.now && e.running {
 		// Delay-0 mid-dispatch: goes to the immediate FIFO (see the imm
-		// field). Outside Run (setup code, merged control phases driven
-		// by Step) the event takes the queue path so cross-engine peeks
-		// see it.
-		e.imm = append(e.imm, event{at: t, key: eventKey(t, e.now, e.nextSeq()), act: a})
-		return
+		// field). Outside Run (setup code, Step-driven tests) the event
+		// takes the queue path.
+		e.imm = append(e.imm, event{at: t, seq: e.seq, act: a})
+	} else {
+		e.queue.push(event{at: t, seq: e.seq, act: a})
 	}
-	e.queue.push(event{at: t, key: eventKey(t, e.now, e.nextSeq()), act: a})
-}
-
-// nextSeq returns the engine's next event sequence number. The packed
-// event key stores it in 32 bits; one engine run would have to
-// schedule over four billion events to exhaust it — hours of wall
-// time beyond any experiment here — so exhaustion is a model bug
-// worth a loud stop rather than a silently wrapped dispatch order.
-func (e *Engine) nextSeq() uint64 {
-	if e.seq > math.MaxUint32 {
-		panic("sim: event sequence space exhausted (2^32 events in one engine)")
-	}
-	s := e.seq
 	e.seq++
-	return s
-}
-
-// PushAt inserts an event with an explicit (at, schedAt) ordering key.
-// It is the cross-engine import primitive of the sharded coordinator:
-// when an event produced by one shard (or by the control engine) is
-// handed to another shard's queue, it must keep the schedule-time key
-// it was created with, not the importing engine's clock. at must not
-// be in the past of this engine and schedAt must not exceed at.
-func (e *Engine) PushAt(at, schedAt Time, a Action) {
-	if at < e.now {
-		panic(fmt.Sprintf("sim: import at %v before now %v", at, e.now))
-	}
-	if schedAt > at {
-		panic(fmt.Sprintf("sim: import schedAt %v after at %v", schedAt, at))
-	}
-	if a == nil {
-		panic("sim: nil event action")
-	}
-	e.queue.push(event{at: at, key: eventKey(at, schedAt, e.nextSeq()), act: a})
-}
-
-// AdvanceTo moves the clock forward to t without dispatching anything.
-// The sharded coordinator uses it to align every shard engine on a
-// barrier timestamp before merged execution; it panics if an event
-// earlier than t is still pending (advancing past it would violate
-// causality) or if t is in the past.
-func (e *Engine) AdvanceTo(t Time) {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: AdvanceTo %v before now %v", t, e.now))
-	}
-	if next := e.queue.peekTime(); next < t {
-		panic(fmt.Sprintf("sim: AdvanceTo %v past pending event at %v", t, next))
-	}
-	e.now = t
-}
-
-// NextEventTime returns the timestamp of the earliest pending event,
-// or Forever if the queue is empty.
-func (e *Engine) NextEventTime() Time {
-	if e.immHead < len(e.imm) {
-		return e.now // an undrained immediate shares the current timestamp
-	}
-	return e.queue.peekTime()
 }
 
 // Quiescent reports whether no pending event shares the current
@@ -213,32 +152,6 @@ func (e *Engine) NextEventTime() Time {
 // once per fused hop costs a bucket inspection, not a wheel walk.
 func (e *Engine) Quiescent() bool {
 	return e.immHead >= len(e.imm) && !e.queue.hasEventAt(e.now)
-}
-
-// peekKey returns the full (at, schedAt) dispatch key of the earliest
-// pending event. It must not be called on an empty queue; the shard
-// coordinator uses it to merge events across engines in canonical
-// order during single-threaded barrier phases.
-func (e *Engine) peekKey() (at, schedAt Time) {
-	switch q := e.queue.(type) {
-	case *calendarQueue:
-		ev := q.peek()
-		return ev.at, keySchedAt(ev.at, ev.key)
-	case *heapQueue:
-		ev := q.peek()
-		return ev.at, keySchedAt(ev.at, ev.key)
-	}
-	panic("sim: peekKey on unknown queue implementation")
-}
-
-// PeekKey is the exported form of peekKey for coordinators living in
-// other packages. ok is false when no event is pending.
-func (e *Engine) PeekKey() (at, schedAt Time, ok bool) {
-	if e.queue.len() == 0 {
-		return 0, 0, false
-	}
-	at, schedAt = e.peekKey()
-	return at, schedAt, true
 }
 
 // Run dispatches events until the queue is empty or the next event is
@@ -257,9 +170,9 @@ func (e *Engine) Run(horizon Time) {
 	// from their own config.
 }
 
-// dispatchLoop is the shared Run/RunBefore body: dispatch queue events
-// due at or before horizon, merging the immediate FIFO in at its exact
-// key position. An immediate is always at == now <= horizon (it was
+// dispatchLoop is Run's body: dispatch queue events due at or before
+// horizon, merging the immediate FIFO in at its exact (at, seq)
+// position. An immediate is always at == now <= horizon (it was
 // appended while dispatching an event that passed the horizon check),
 // so the loop can never return while imm is nonempty — imm is provably
 // drained on exit.
@@ -268,10 +181,10 @@ func (e *Engine) dispatchLoop(horizon Time) {
 		if e.immHead < len(e.imm) {
 			ie := e.imm[e.immHead]
 			// A queue event sharing the timestamp dispatches first iff it
-			// orders before ie under the full key — which it does unless
+			// orders before ie under (at, seq) — which it does unless
 			// it is itself a delay-0 event scheduled after ie (impossible:
 			// mid-dispatch delay-0s all land in imm). hasEventAt is the
-			// cheap guard; popBefore settles the key comparison exactly.
+			// cheap guard; popBefore settles the seq comparison exactly.
 			if e.queue.hasEventAt(e.now) {
 				if ev, ok := e.queue.popBefore(ie); ok {
 					e.now = ev.at
@@ -298,22 +211,6 @@ func (e *Engine) dispatchLoop(horizon Time) {
 		e.processed++
 		ev.act.Do()
 	}
-}
-
-// RunBefore dispatches every pending event strictly earlier than end,
-// in order, and returns. Events at or after end stay queued and the
-// clock finishes at the last dispatched event (it does not jump to
-// end — AdvanceTo does that explicitly). This is the shard worker's
-// window primitive: the coordinator guarantees no event before end can
-// arrive from another shard, so the window body is safe to run without
-// synchronization.
-func (e *Engine) RunBefore(end Time) {
-	if e.running {
-		panic("sim: RunBefore called re-entrantly")
-	}
-	e.running = true
-	defer func() { e.running = false }()
-	e.dispatchLoop(end - 1)
 }
 
 // RunUntilIdle dispatches every scheduled event regardless of time.

@@ -1,7 +1,5 @@
 package sim
 
-import "math"
-
 // Action is a schedulable unit of work. The engine accepts either a
 // plain closure (Schedule/At) or an Action (ScheduleAction/AtAction);
 // the latter is the allocation-free fast path: components keep a pool
@@ -21,65 +19,25 @@ type funcAction func()
 
 func (f funcAction) Do() { f() }
 
-// event is a scheduled callback. The logical dispatch order is
-// (at, schedAt, seq) lexicographic: earlier timestamps first, equal
-// timestamps in schedule-time order, FIFO among events scheduled at
-// the same instant. schedAt exists for the sharded engine — when
-// events from several shard queues merge, (at, schedAt) is a causally
-// meaningful cross-shard key where per-queue seq values are not
-// comparable. Within a single engine schedAt is nondecreasing in seq
-// (the clock never runs backwards), so for sequential runs the order
-// coincides with the historical (at, seq) order.
-//
-// The (schedAt, seq) tiebreak is packed into one word (see eventKey)
-// so the struct stays at 32 bytes and the comparator at two integer
-// compares: carrying schedAt as a third field measurably slowed the
-// bucket sorts of saturated sequential runs (~20% wall time at 64
-// switches).
+// event is a scheduled callback. The dispatch order is (at, seq)
+// lexicographic: earlier timestamps first, FIFO among equal
+// timestamps. seq is the engine's schedule counter, so among events
+// sharing a timestamp the one scheduled first dispatches first.
 type event struct {
 	at  Time
-	key uint64
+	seq uint64
 	act Action
 }
 
-// eventKey packs (schedAt, seq) into a single uint64 that compares in
-// (schedAt ascending, seq ascending) order among events with equal
-// at: the high half holds the bit-inverted schedule distance
-// at-schedAt (older schedAt → larger distance → smaller inverted
-// half), the low half the engine's 32-bit sequence number.
-//
-// The distance saturates at MaxUint32 ns (~4.3 s of simulated time).
-// Saturation preserves the exact dispatch order: within one engine
-// schedAt is nondecreasing in seq, so ties created by the clamp fall
-// back to seq, which already equals schedule order; across engines
-// the shard coordinator only merges events scheduled within one
-// lookahead window of their timestamp, far below the clamp. Nothing
-// in the model schedules seconds ahead — the clamp is a safety rail,
-// not a working regime.
-func eventKey(at, schedAt Time, seq uint64) uint64 {
-	delta := uint64(at - schedAt)
-	if delta > math.MaxUint32 {
-		delta = math.MaxUint32
-	}
-	return uint64(^uint32(delta))<<32 | seq
-}
-
-// keySchedAt recovers the schedule time encoded in an event's key
-// (saturated distances decode to at - MaxUint32).
-func keySchedAt(at Time, key uint64) Time {
-	return at - Time(^uint32(key>>32))
-}
-
-// eventLess is the engine's total dispatch order: (at, schedAt, seq)
-// lexicographic via the packed key. Sequence numbers are unique
-// within an engine, so two distinct events never compare equal and
-// every scheduler implementation must realize the exact same
-// sequence.
+// eventLess is the engine's total dispatch order: (at, seq)
+// lexicographic. Sequence numbers are unique within an engine, so two
+// distinct events never compare equal and every scheduler
+// implementation must realize the exact same sequence.
 func eventLess(a, b event) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
-	return a.key < b.key
+	return a.seq < b.seq
 }
 
 // eventQueue is the scheduler contract the engine dispatches through.
@@ -104,7 +62,7 @@ type eventQueue interface {
 	// instead of two per dispatched event.
 	popAtMost(horizon Time) (event, bool)
 	// popBefore pops and returns the earliest event if it orders
-	// strictly before bound under the full (at, key) dispatch order.
+	// strictly before bound under the full (at, seq) dispatch order.
 	// The engine uses it to merge its immediate-event FIFO (see
 	// Engine.imm) against the queue.
 	popBefore(bound event) (event, bool)

@@ -26,7 +26,7 @@ func driveQueues(program []byte, slotBits, widthBits uint) error {
 	var seq uint64
 
 	push := func(at Time) {
-		e := event{at: at, key: eventKey(at, now, seq), act: nopAction{}}
+		e := event{at: at, seq: seq, act: nopAction{}}
 		seq++
 		wheel.push(e)
 		heap.push(e)
@@ -42,8 +42,8 @@ func driveQueues(program []byte, slotBits, widthBits uint) error {
 			return nil
 		}
 		w, h := wheel.pop(), heap.pop()
-		if w.at != h.at || w.key != h.key {
-			return fmt.Errorf("pop: wheel (%v, %#x), heap (%v, %#x)", w.at, w.key, h.at, h.key)
+		if w.at != h.at || w.seq != h.seq {
+			return fmt.Errorf("pop: wheel (%v, %d), heap (%v, %d)", w.at, w.seq, h.at, h.seq)
 		}
 		now = w.at
 		return nil

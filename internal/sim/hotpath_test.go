@@ -140,7 +140,7 @@ func BenchmarkEnginePushPopDepth(b *testing.B) {
 // BenchmarkEventQueueDepth sweeps the standing queue depth for both
 // scheduler implementations on a hop-like delay distribution (0..4095
 // ns ahead, the fabric's routing+propagation+serialization horizon).
-// scripts/bench.sh records the grid as BENCH_eventq.json; the
+// scripts/bench.sh records the grid in .bench_build/BENCH_eventq.json; the
 // calendar's flat curve against the heap's log-n climb is the
 // tentpole win of the scheduler PR.
 func BenchmarkEventQueueDepth(b *testing.B) {

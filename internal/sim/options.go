@@ -87,7 +87,7 @@ func WithBucketWidth(w Time) EngineOption {
 // WithWheelGeometry pins the calendar wheel to 1<<slotBits buckets of
 // 1<<widthBits ns each, clearing any span hint accumulated so far.
 // Tiny wheels wrap and overflow constantly — exactly what the
-// scheduler and shard differential tests want to stress; production
+// scheduler differential tests want to stress; production
 // callers should prefer WithSpanHint.
 func WithWheelGeometry(slotBits, widthBits uint) EngineOption {
 	return func(c *engineConfig) {

@@ -7,14 +7,10 @@
 // dominated by fine-grained causal dependencies (a credit return
 // unblocks an arbitration which starts a transmission), and a
 // sequential event loop with deterministic ordering makes every run
-// exactly reproducible from its seed. Parallelism within one run lives
-// in the fabric's shard coordinator, which partitions the network
-// across several engines and advances them in conservative lookahead
-// windows (RunBefore/AdvanceTo/PushAt are the primitives it drives);
-// parallelism across runs lives in the experiment harness, which runs
-// independent simulations (different topologies, loads, seeds) on
-// separate goroutines. Both reproduce the sequential dispatch order
-// bit-exactly.
+// exactly reproducible from its seed. Parallelism lives across runs:
+// the experiment harness runs independent simulations (different
+// topologies, loads, seeds) on separate goroutines, each on its own
+// engine.
 package sim
 
 import (

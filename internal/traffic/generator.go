@@ -98,8 +98,7 @@ type hostStream struct {
 	mean float64
 	fire func()
 
-	// generated is per-stream so sharded runs never share a counter
-	// across shard goroutines.
+	// generated counts this host's packets; Generated sums them.
 	generated uint64
 }
 
@@ -117,9 +116,7 @@ func (g *Generator) Start(stopAt sim.Time) {
 		hs := &g.streams[i]
 		hs.g, hs.host, hs.rng, hs.mean = g, h, *root.Split(uint64(h.ID()) + 1), mean
 		hs.fire = hs.generate
-		// Random initial phase avoids all hosts firing in lockstep. The
-		// stream's events live on the host's engine — the owning shard's
-		// queue in sharded mode — so generation is shard-local work.
+		// Random initial phase avoids all hosts firing in lockstep.
 		h.Engine().Schedule(hs.rng.ExpTime(mean), hs.fire)
 	}
 }

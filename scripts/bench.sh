@@ -4,7 +4,8 @@
 #
 # Usage: scripts/bench.sh [count]
 #
-# Writes four artifacts at the repo root:
+# Writes its artifacts under .bench_build/ (gitignored: these are
+# per-host measurements, not files to commit):
 #   BENCH_hotpath.txt  — raw `go test -bench` output; feed two of these
 #                        to benchstat to compare revisions.
 #   BENCH_hotpath.json — parsed {benchmark: {ns_op, b_op, allocs_op}}
@@ -34,9 +35,11 @@ set -eu
 
 cd "$(dirname "$0")/.."
 count="${1:-1}"
+dir=.bench_build
+mkdir -p "$dir"
 
-out_txt=BENCH_hotpath.txt
-out_json=BENCH_hotpath.json
+out_txt=$dir/BENCH_hotpath.txt
+out_json=$dir/BENCH_hotpath.json
 
 {
   go test -run '^$' -bench 'BenchmarkLookup$' -benchmem -count "$count" ./internal/core/
@@ -68,8 +71,8 @@ awk '
 # of the heap reproduces the old BenchmarkEnginePushPopDepth regime.
 # The sweep reuses one engine per sub-benchmark, so allocs/op doubles
 # as the zero-steady-state-allocation check at every depth.
-eq_txt=BENCH_eventq.txt
-eq_json=BENCH_eventq.json
+eq_txt=$dir/BENCH_eventq.txt
+eq_json=$dir/BENCH_eventq.json
 
 {
   go test -run '^$' -bench 'BenchmarkEnginePushPopDepth$|BenchmarkEventQueueDepth' \
@@ -107,8 +110,8 @@ awk '
 # numbers are the per-hop event oracle, and the speedup columns are
 # what fusing the uncongested arrival→route→arbitrate→depart chain
 # into single dispatches buys at each level.
-fu_txt=BENCH_fusion.txt
-fu_json=BENCH_fusion.json
+fu_txt=$dir/BENCH_fusion.txt
+fu_json=$dir/BENCH_fusion.json
 
 {
   go test -run '^$' -bench 'BenchmarkSwitchHop$|BenchmarkSwitchHopUnfused$' \
@@ -153,8 +156,8 @@ awk '
 # saturated hot-spot run (BenchmarkArbHotSpot/{wake,scan}) — the
 # congested regimes are where retiring the O(points^2) rescan pays.
 # Runs at a minimum of 3 counts and reports MEDIAN ns/op.
-arb_txt=BENCH_arb.txt
-arb_json=BENCH_arb.json
+arb_txt=$dir/BENCH_arb.txt
+arb_json=$dir/BENCH_arb.json
 
 arb_count="$count"
 [ "$arb_count" -lt 3 ] && arb_count=3
@@ -207,85 +210,4 @@ awk '
   }
 ' "$arb_txt" > "$arb_json"
 
-# Sharded-engine scaling sweep. BenchmarkFigure3Shards regenerates the
-# 64-switch Figure 3 panel sequentially, at 2/4/8 exact shards and at
-# the validated relaxed lag; results are bit-identical in exact mode
-# (the shard differential suite enforces it), so the sweep is purely a
-# wall-clock measurement. The sweep runs at a minimum of 3 counts and
-# reports MEDIAN ns/op, once per GOMAXPROCS setting (1 and 4, capped
-# nowhere — on a host with fewer cores the 4-proc numbers measure
-# oversubscribed scheduling, and the JSON records the real core count
-# so readers can tell). Speedup and parallel-efficiency columns are
-# computed per GOMAXPROCS against that setting's own sequential
-# median; efficiency divides by min(shards, gomaxprocs), the most
-# parallelism the setting permits.
-sh_txt=BENCH_shard.txt
-sh_json=BENCH_shard.json
-
-shard_count="$count"
-[ "$shard_count" -lt 3 ] && shard_count=3
-cores=$( (nproc || getconf _NPROCESSORS_ONLN || echo 1) 2>/dev/null | head -1 )
-
-: > "$sh_txt"
-for gmp in 1 4; do
-  echo "# GOMAXPROCS=$gmp (host cores: $cores)" | tee -a "$sh_txt"
-  GOMAXPROCS="$gmp" go test -run '^$' -bench 'BenchmarkFigure3Shards' \
-    -benchmem -benchtime 1x -count "$shard_count" . | tee -a "$sh_txt"
-done
-
-awk -v cores="$cores" '
-  /^# GOMAXPROCS=/ { gmp = $2; sub(/^GOMAXPROCS=/, "", gmp); if (!(gmp in gseen)) { gorder[++gn] = gmp; gseen[gmp] = 1 } }
-  /^BenchmarkFigure3Shards\// {
-    name = $1
-    # go test appends "-GOMAXPROCS" (omitted at 1); strip exactly that
-    # so "lag=200" is not mistaken for a proc suffix.
-    sub("-" gmp "$", "", name)
-    sub(/^BenchmarkFigure3Shards\//, "", name)
-    key = gmp SUBSEP name
-    cnt[key]++
-    samples[key, cnt[key]] = $3
-    b[key] = $5; al[key] = $7
-    if (!(name in seen)) { order[++n] = name; seen[name] = 1 }
-  }
-  function median(key,    m, i, j, tmp, vals) {
-    m = cnt[key]
-    for (i = 1; i <= m; i++) vals[i] = samples[key, i] + 0
-    for (i = 1; i <= m; i++)
-      for (j = i + 1; j <= m; j++)
-        if (vals[j] < vals[i]) { tmp = vals[i]; vals[i] = vals[j]; vals[j] = tmp }
-    if (m % 2) return vals[(m + 1) / 2]
-    return (vals[m / 2] + vals[m / 2 + 1]) / 2
-  }
-  END {
-    printf "{\n"
-    printf "  \"benchmark\": \"BenchmarkFigure3Shards (64-switch Figure 3 panel)\",\n"
-    printf "  \"cores\": %s,\n", cores
-    printf "  \"counts_per_point\": %d,\n", cnt[gorder[1] SUBSEP order[1]]
-    printf "  \"metric\": \"median ns/op\",\n"
-    printf "  \"gomaxprocs\": {\n"
-    for (g = 1; g <= gn; g++) {
-      gmp = gorder[g]
-      printf "    \"%s\": {\n", gmp
-      seqkey = gmp SUBSEP "seq"
-      seqns = median(seqkey)
-      for (i = 1; i <= n; i++) {
-        k = order[i]
-        key = gmp SUBSEP k
-        med = median(key)
-        printf "      \"%s\": {\"ns_op\": %.0f, \"b_op\": %s, \"allocs_op\": %s", k, med, b[key], al[key]
-        if (k != "seq" && seqns > 0 && med > 0) {
-          shards = k; sub(/^shards=/, "", shards); sub(/[^0-9].*$/, "", shards)
-          limit = (shards < gmp ? shards : gmp)
-          speedup = seqns / med
-          printf ", \"speedup_vs_seq\": %.3f, \"parallel_efficiency\": %.3f", speedup, speedup / limit
-        }
-        printf "}%s\n", (i < n ? "," : "")
-      }
-      printf "    }%s\n", (g < gn ? "," : "")
-    }
-    printf "  }\n"
-    printf "}\n"
-  }
-' "$sh_txt" > "$sh_json"
-
-echo "wrote $out_txt, $out_json, $eq_txt, $eq_json, $fu_txt, $fu_json, $arb_txt, $arb_json, $sh_txt and $sh_json"
+echo "wrote $out_txt, $out_json, $eq_txt, $eq_json, $fu_txt, $fu_json, $arb_txt and $arb_json"
