@@ -139,9 +139,6 @@ func (r Report) Has(invariant string) bool {
 	return false
 }
 
-// flowKey identifies one (source, destination) packet flow.
-type flowKey struct{ src, dst int }
-
 // Auditor re-verifies model invariants from the fabric's observer
 // hooks. Build with Attach; read results with Finalize.
 type Auditor struct {
@@ -154,7 +151,13 @@ type Auditor struct {
 	hopChecks  uint64
 	violations []Violation
 	count      uint64
-	lastDetSeq map[flowKey]uint64
+
+	// lastDetSeq holds, at slot src*numHosts+dst, the SeqNo of the
+	// flow's last deterministic delivery plus one (zero = none yet). It
+	// is allocated on the first deterministic delivery, so all-adaptive
+	// runs never pay for it.
+	lastDetSeq []uint64
+	numHosts   int
 
 	final     Report
 	finalized bool
@@ -176,14 +179,14 @@ func Attach(net *fabric.Network, cfg Config) *Auditor {
 		net:         net,
 		cfg:         cfg.withDefaults(),
 		orderExempt: net.Cfg.SourceMultipath > 1 || net.Cfg.Retry.Enabled(),
-		lastDetSeq:  make(map[flowKey]uint64),
+		numHosts:    net.Topo.NumHosts(),
 	}
 	prevCreated, prevDelivered, prevHop := net.OnCreated, net.OnDelivered, net.OnHop
-	net.OnCreated = func(p *ib.Packet) {
+	net.OnCreated = func(id uint64, src, dst int, adaptive bool, at sim.Time) {
 		if prevCreated != nil {
-			prevCreated(p)
+			prevCreated(id, src, dst, adaptive, at)
 		}
-		a.onCreated(p)
+		a.created++
 	}
 	net.OnDelivered = func(p *ib.Packet) {
 		if prevDelivered != nil {
@@ -211,8 +214,6 @@ func (a *Auditor) report(v Violation) {
 	}
 }
 
-func (a *Auditor) onCreated(p *ib.Packet) { a.created++ }
-
 // onDelivered counts the delivery and enforces InvDeterministicOrder:
 // within a flow, the subsequence of deterministic-service deliveries
 // must carry nondecreasing sequence numbers. Adaptive packets may
@@ -222,18 +223,20 @@ func (a *Auditor) onDelivered(p *ib.Packet) {
 	if a.orderExempt || p.Adaptive {
 		return
 	}
-	k := flowKey{src: p.Src, dst: p.Dst}
-	last, seen := a.lastDetSeq[k]
-	if seen && p.SeqNo < last {
+	if a.lastDetSeq == nil {
+		a.lastDetSeq = make([]uint64, a.numHosts*a.numHosts)
+	}
+	k := p.Src*a.numHosts + p.Dst
+	if last := a.lastDetSeq[k]; last != 0 && p.SeqNo < last-1 {
 		a.report(Violation{
 			At:        p.DeliveredAt,
 			Invariant: InvDeterministicOrder,
 			Detail: fmt.Sprintf("flow %d->%d: deterministic packet seq %d delivered after seq %d",
-				p.Src, p.Dst, p.SeqNo, last),
+				p.Src, p.Dst, p.SeqNo, last-1),
 		})
 		return
 	}
-	a.lastDetSeq[k] = p.SeqNo
+	a.lastDetSeq[k] = p.SeqNo + 1
 }
 
 // onHop re-checks the §4.4 admission rule for every forwarding

@@ -9,10 +9,10 @@ import (
 
 // TestInjectZeroAllocsWithAuditor extends the fabric's injection
 // alloc gate across the auditor's always-on hooks: with the cheap
-// checks attached (the default in every experiments run), creating a
-// packet, injecting it and running it through to delivery must stay
-// at the slab-refill amortized allocation rate. The hop re-check and
-// the in-order bookkeeping both run on warm, fixed-size state.
+// checks attached (the default in every experiments run), sending a
+// packet and running it through to delivery must stay at the
+// slab-refill amortized allocation rate. The hop re-check and the
+// in-order bookkeeping both run on warm, fixed-size state.
 func TestInjectZeroAllocsWithAuditor(t *testing.T) {
 	topo, err := topology.Line(2, 4)
 	if err != nil {
@@ -26,7 +26,7 @@ func TestInjectZeroAllocsWithAuditor(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			h := net.Hosts[0]
 			inject := func() {
-				h.Inject(net.NewPacket(0, 7, 32, adaptive))
+				h.Send(7, 32, adaptive)
 				net.Engine.RunUntilIdle()
 			}
 			for i := 0; i < 600; i++ { // warm pools and span a slab boundary

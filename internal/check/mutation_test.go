@@ -190,7 +190,7 @@ func TestMutationNoEscapeFallback(t *testing.T) {
 		dst := (h.ID() + n/2) % n
 		h.Engine().Schedule(0, func() {
 			for k := 0; k < 64; k++ {
-				h.Inject(net.NewPacket(h.ID(), dst, 256, true))
+				h.Send(dst, 256, true)
 			}
 		})
 	}

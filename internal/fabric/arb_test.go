@@ -21,7 +21,7 @@ import (
 func runArbCongestion(net *Network) {
 	sw := net.Switches[0]
 	for src := 0; src < 4; src++ {
-		pkt := net.NewPacket(src, 7, 64, true)
+		pkt := testPacket(net, src, 7, 64, true)
 		sw.receive(net.HostPort(src), 0, pkt)
 	}
 	net.Engine.RunUntilIdle()
@@ -201,7 +201,7 @@ func TestArbLockstepParity(t *testing.T) {
 			size := 32 + rng.Intn(192)
 			adaptive := rng.Intn(4) > 0
 			inject := func(net *Network) func() {
-				return func() { net.Hosts[src].Inject(net.NewPacket(src, dst, size, adaptive)) }
+				return func() { net.Hosts[src].Send(dst, size, adaptive) }
 			}
 			wakeNet.Engine.At(sim.Time(at), inject(wakeNet))
 			scanNet.Engine.At(sim.Time(at), inject(scanNet))
@@ -243,7 +243,7 @@ func TestSwitchHopZeroAllocsScanArb(t *testing.T) {
 	cfg.Arb = ArbScan
 	net := hotpathNetCfg(t, cfg)
 	sw := net.Switches[0]
-	pkt := net.NewPacket(0, 7, 32, true)
+	pkt := testPacket(net, 0, 7, 32, true)
 	hop := func() {
 		sw.receive(0, 0, pkt)
 		net.Engine.RunUntilIdle()
@@ -266,7 +266,7 @@ func TestArbWakeZeroAllocsCongested(t *testing.T) {
 	sw := net.Switches[0]
 	pkts := make([]*ib.Packet, 4)
 	for i := range pkts {
-		pkts[i] = net.NewPacket(i, 7, 64, true)
+		pkts[i] = testPacket(net, i, 7, 64, true)
 	}
 	burst := func() {
 		for i, pkt := range pkts {
@@ -294,7 +294,7 @@ func BenchmarkSwitchHopScanArb(b *testing.B) {
 	cfg.Arb = ArbScan
 	net := hotpathNetCfg(b, cfg)
 	sw := net.Switches[0]
-	pkt := net.NewPacket(0, 7, 32, true)
+	pkt := testPacket(net, 0, 7, 32, true)
 	hop := func() {
 		sw.receive(0, 0, pkt)
 		net.Engine.RunUntilIdle()
@@ -323,7 +323,7 @@ func BenchmarkArbCongested(b *testing.B) {
 			sw := net.Switches[0]
 			pkts := make([]*ib.Packet, 4)
 			for i := range pkts {
-				pkts[i] = net.NewPacket(i, 7, 64, true)
+				pkts[i] = testPacket(net, i, 7, 64, true)
 			}
 			burst := func() {
 				for i, pkt := range pkts {

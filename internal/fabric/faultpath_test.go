@@ -53,7 +53,7 @@ func TestSwitchDownDropsArrivalsAndConservesCredits(t *testing.T) {
 	// keeps the inter-switch link busy when the switch dies.
 	for i := 0; i < 10; i++ {
 		src, dst := i%4, 4+i%4
-		net.Hosts[src].Inject(net.NewPacket(src, dst, 32, true))
+		net.Hosts[src].Send(dst, 32, true)
 	}
 	net.Engine.At(500, func() {
 		if err := net.SetSwitchDown(1); err != nil {
@@ -118,7 +118,7 @@ func TestSendTimeoutRetriesThenLoses(t *testing.T) {
 	}
 	var drops []fabric.DropReason
 	net.OnDropped = func(_ *ib.Packet, reason fabric.DropReason) { drops = append(drops, reason) }
-	net.Hosts[0].Inject(net.NewPacket(0, 4, 32, true))
+	net.Hosts[0].Send(4, 32, true)
 	net.Engine.RunUntilIdle()
 
 	fs := net.Faults
@@ -155,7 +155,7 @@ func TestUnroutableLookupDropsInsteadOfPanic(t *testing.T) {
 		t.Fatal(err)
 	}
 	// No subnet.Configure: every forwarding table is unprogrammed.
-	net.Hosts[0].Inject(net.NewPacket(0, 4, 32, false))
+	net.Hosts[0].Send(4, 32, false)
 	net.Engine.RunUntilIdle()
 	if net.Faults.DroppedUnroutable != 1 {
 		t.Fatalf("unroutable drops = %d, want 1", net.Faults.DroppedUnroutable)

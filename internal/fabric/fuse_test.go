@@ -13,7 +13,7 @@ import (
 // drains the engine; the minimal traversal every fusion test reuses.
 func runHotpathTraffic(net *Network) {
 	sw := net.Switches[0]
-	pkt := net.NewPacket(0, 7, 32, true)
+	pkt := testPacket(net, 0, 7, 32, true)
 	sw.receive(0, 0, pkt)
 	net.Engine.RunUntilIdle()
 }
@@ -101,7 +101,7 @@ func TestSwitchHopZeroAllocsUnfused(t *testing.T) {
 	cfg.Fuse = false
 	net := hotpathNetCfg(t, cfg)
 	sw := net.Switches[0]
-	pkt := net.NewPacket(0, 7, 32, true)
+	pkt := testPacket(net, 0, 7, 32, true)
 	hop := func() {
 		sw.receive(0, 0, pkt)
 		net.Engine.RunUntilIdle()
@@ -122,7 +122,7 @@ func BenchmarkSwitchHopUnfused(b *testing.B) {
 	cfg.Fuse = false
 	net := hotpathNetCfg(b, cfg)
 	sw := net.Switches[0]
-	pkt := net.NewPacket(0, 7, 32, true)
+	pkt := testPacket(net, 0, 7, 32, true)
 	hop := func() {
 		sw.receive(0, 0, pkt)
 		net.Engine.RunUntilIdle()

@@ -25,7 +25,7 @@ func TestMixedTrafficOverloadDrains(t *testing.T) {
 				if src == dst {
 					dst = (dst + 1) % hosts
 				}
-				net.Hosts[src].Inject(net.NewPacket(src, dst, 32, rng.Bool(adaptiveShare)))
+				net.Hosts[src].Send(dst, 32, rng.Bool(adaptiveShare))
 			}
 			if err := net.Drain(); err != nil {
 				t.Fatalf("size=%d adaptive=%.0f%%: %v", size, adaptiveShare*100, err)
@@ -61,7 +61,7 @@ func TestMixedSustainedLoadMakesProgress(t *testing.T) {
 			if dst == src {
 				dst = (dst + 1) % hosts
 			}
-			net.Hosts[src].Inject(net.NewPacket(src, dst, 32, rng.Bool(0.5)))
+			net.Hosts[src].Send(dst, 32, rng.Bool(0.5))
 		}
 		if net.Engine.Now() < 1_000_000 {
 			net.Engine.Schedule(500, inject)

@@ -27,13 +27,21 @@ type Network struct {
 	// Hot-path pools (see pool.go): the event freelist and the
 	// struct-of-arrays store for buffered-packet state (see
 	// vlbuffer.go). pktSlab is the tail of the current packet
-	// allocation block NewPacket carves from; pktBlocks remembers every
+	// allocation block injection carves from; pktBlocks remembers every
 	// block consumed so Recycle can hand them back to the sweep's
-	// PacketArena.
+	// PacketArena. recFree chains the source-queue record blocks no
+	// host is using.
 	evFree    []*fabricEvent
 	slab      entrySlab
 	pktSlab   []ib.Packet
 	pktBlocks [][]ib.Packet
+	recFree   *recBlock
+
+	// held keeps the dropped packets waiting in a source queue for
+	// their retry; a requeued record names its slot, and heldFree
+	// lists the vacant slots.
+	held     []*ib.Packet
+	heldFree []int32
 
 	// nextID numbers created packets 1, 2, 3, ...; moved counts packet
 	// movements (Moved); fusedKicks counts kick events whose delay-0
@@ -42,12 +50,15 @@ type Network struct {
 	moved      uint64
 	fusedKicks uint64
 
-	// OnCreated fires when a packet enters a source queue; OnDelivered
-	// when it reaches its destination CA; OnHop when a switch starts
-	// forwarding a packet (switch ID, output port, whether an adaptive
-	// routing option was used). Metrics collectors and tracers attach
-	// here; attachers must chain any callback already present.
-	OnCreated   func(*ib.Packet)
+	// OnCreated fires when Host.Send queues a packet, with the
+	// packet's ID, source, destination, adaptive flag and creation time:
+	// the packet itself does not exist until it is injected. OnDelivered
+	// fires when a packet reaches its destination CA; OnHop when a
+	// switch starts forwarding a packet (switch ID, output port,
+	// whether an adaptive routing option was used). Metrics collectors
+	// and tracers attach here; attachers must chain any callback
+	// already present.
+	OnCreated   func(id uint64, src, dst int, adaptive bool, at sim.Time)
 	OnDelivered func(*ib.Packet)
 	OnHop       func(p *ib.Packet, sw int, out ib.PortID, adaptive bool)
 
@@ -157,15 +168,28 @@ func (n *Network) Run(horizon sim.Time) { n.Engine.Run(horizon) }
 
 // Recycle returns the engine's queue storage to the arena the network
 // was built with (sim.WithArena), so a sweep's next network reuses it;
-// packet slab blocks go back to Cfg.PacketArena the same way. The
-// caller asserts the run is over and nothing retains a *ib.Packet from
-// it. Without arenas it is a no-op; calling it twice is safe.
+// packet slab blocks and source-queue record blocks go back to
+// Cfg.PacketArena the same way. The caller asserts the run is over and
+// nothing retains a *ib.Packet from it. Without arenas it is a no-op;
+// calling it twice is safe.
 func (n *Network) Recycle() {
 	n.Engine.Recycle()
-	if a := n.Cfg.PacketArena; a != nil {
-		a.put(n.pktBlocks)
-		n.pktBlocks, n.pktSlab = nil, nil
+	a := n.Cfg.PacketArena
+	if a == nil {
+		return
 	}
+	a.put(n.pktBlocks)
+	n.pktBlocks, n.pktSlab = nil, nil
+	for _, h := range n.Hosts {
+		for b := h.qhead; b != nil; {
+			next := b.next
+			n.putRecBlock(b)
+			b = next
+		}
+		h.qhead, h.qtail, h.qhi, h.qti, h.qlen = nil, nil, 0, 0, 0
+	}
+	a.putRecs(n.recFree)
+	n.recFree = nil
 }
 
 // DropReason classifies why the fabric discarded a packet.
@@ -427,31 +451,27 @@ func (n *Network) newVLBuffers(enhanced bool) []*vlBuffer {
 	return vls
 }
 
-// NewPacket builds a packet from src to dst with the service mode
-// encoded in the DLID per the address plan, stamped with the current
-// simulated time. The caller injects it at Hosts[src]. In source
-// multipath mode the adaptive flag is ignored and the DLID selects one
-// of the alternative deterministic paths uniformly at random — the
-// source-node path selection of the paper's introduction.
-func (n *Network) NewPacket(src, dst, size int, adaptive bool) *ib.Packet {
+// newRecord decides everything about a packet that is fixed when it is
+// generated: the next ID, the creation time, and a DLID that encodes
+// the service mode per the address plan. In source multipath mode the
+// adaptive flag is ignored and the DLID selects one of the alternative
+// deterministic paths uniformly at random — the source-node path
+// selection of the paper's introduction.
+func (n *Network) newRecord(dst, size int, adaptive bool) sendRecord {
 	n.nextID++
 	dlid := n.Plan.DLIDFor(dst, adaptive)
 	if k := n.Cfg.SourceMultipath; k > 1 {
 		adaptive = false
 		dlid = n.Plan.BaseLID(dst) + ib.LID(n.rng.Intn(k))
 	}
-	pkt := n.getPacket()
-	*pkt = ib.Packet{
-		ID:        n.nextID,
-		Src:       src,
-		Dst:       dst,
-		SLID:      n.Plan.BaseLID(src),
-		DLID:      dlid,
-		Size:      size,
-		Adaptive:  adaptive && n.Plan.LMC > 0,
-		CreatedAt: n.Engine.Now(),
+	return sendRecord{
+		id:       n.nextID,
+		at:       n.Engine.Now(),
+		dst:      int32(dst),
+		size:     int32(size),
+		dlid:     dlid,
+		adaptive: adaptive && n.Plan.LMC > 0,
 	}
-	return pkt
 }
 
 // PortToNeighbor returns switch s's output port wired to the adjacent

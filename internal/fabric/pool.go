@@ -205,8 +205,8 @@ func (n *Network) getPacket() *ib.Packet {
 }
 
 // pktBlock returns a fresh packet block: recycled from the configured
-// arena when one is set (stale contents are fine — NewPacket overwrites
-// the whole struct), freshly allocated otherwise.
+// arena when one is set (stale contents are fine — Host.packetOf
+// overwrites the whole struct), freshly allocated otherwise.
 func (n *Network) pktBlock() []ib.Packet {
 	if a := n.Cfg.PacketArena; a != nil {
 		if b := a.get(); b != nil {
@@ -216,11 +216,58 @@ func (n *Network) pktBlock() []ib.Packet {
 	return make([]ib.Packet, pktSlabSize)
 }
 
-// PacketArena recycles packet slab blocks between the runs of a sweep,
-// the packet-memory analog of sim.QueueArena: the load points of a
-// sweep each allocate tens of thousands of packets, and handing a
-// finished run's blocks to the next cuts the dominant share of the
-// sweep's GC pressure. Thread-safe — load points run on a worker pool.
+// getRecBlock returns a source-queue record block: from the network's
+// freelist, else recycled from the configured arena, else freshly
+// allocated. Stale records are fine — a slot is written before it is
+// read.
+func (n *Network) getRecBlock() *recBlock {
+	b := n.recFree
+	if b != nil {
+		n.recFree = b.next
+	} else if a := n.Cfg.PacketArena; a != nil {
+		b = a.getRec()
+	}
+	if b == nil {
+		return new(recBlock)
+	}
+	b.next = nil
+	return b
+}
+
+// putRecBlock returns a consumed record block to the network's freelist.
+func (n *Network) putRecBlock(b *recBlock) {
+	b.next = n.recFree
+	n.recFree = b
+}
+
+// hold parks a dropped packet awaiting its retry in the source queue
+// and returns its key: 1 + its slot in n.held.
+func (n *Network) hold(pkt *ib.Packet) int32 {
+	if last := len(n.heldFree) - 1; last >= 0 {
+		slot := n.heldFree[last]
+		n.heldFree = n.heldFree[:last]
+		n.held[slot] = pkt
+		return slot + 1
+	}
+	n.held = append(n.held, pkt)
+	return int32(len(n.held))
+}
+
+// unhold empties the held slot of key and returns its packet.
+func (n *Network) unhold(key int32) *ib.Packet {
+	slot := key - 1
+	pkt := n.held[slot]
+	n.held[slot] = nil
+	n.heldFree = append(n.heldFree, slot)
+	return pkt
+}
+
+// PacketArena recycles packet slab blocks and source-queue record
+// blocks between the runs of a sweep, the packet-memory analog of
+// sim.QueueArena: the load points of a sweep each allocate tens of
+// thousands of packets, and handing a finished run's blocks to the
+// next cuts the dominant share of the sweep's GC pressure.
+// Thread-safe — load points run on a worker pool.
 //
 // Safety contract: blocks come back via Network.Recycle, whose caller
 // asserts the run is over and no *ib.Packet reference survives it
@@ -229,6 +276,7 @@ func (n *Network) pktBlock() []ib.Packet {
 type PacketArena struct {
 	mu     sync.Mutex
 	blocks [][]ib.Packet
+	recs   *recBlock // chained through recBlock.next
 }
 
 // NewPacketArena returns an empty arena.
@@ -252,5 +300,30 @@ func (a *PacketArena) put(blocks [][]ib.Packet) {
 	}
 	a.mu.Lock()
 	a.blocks = append(a.blocks, blocks...)
+	a.mu.Unlock()
+}
+
+func (a *PacketArena) getRec() *recBlock {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	b := a.recs
+	if b != nil {
+		a.recs = b.next
+	}
+	return b
+}
+
+// putRecs splices a chain of record blocks onto the arena's list.
+func (a *PacketArena) putRecs(chain *recBlock) {
+	if chain == nil {
+		return
+	}
+	tail := chain
+	for tail.next != nil {
+		tail = tail.next
+	}
+	a.mu.Lock()
+	tail.next = a.recs
+	a.recs = chain
 	a.mu.Unlock()
 }

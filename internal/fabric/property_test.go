@@ -35,7 +35,7 @@ func TestDrainPropertyRandomWorkloads(t *testing.T) {
 			if src == dst {
 				dst = (dst + 1) % hosts
 			}
-			net.Hosts[src].Inject(net.NewPacket(src, dst, pktSize, rng.Bool(adaptiveShare)))
+			net.Hosts[src].Send(dst, pktSize, rng.Bool(adaptiveShare))
 		}
 		if err := net.Drain(); err != nil {
 			t.Logf("seed %d: %v", seed, err)

@@ -16,7 +16,7 @@ func TestLinkStatsRanges(t *testing.T) {
 		if src == dst {
 			dst = (dst + 1) % hosts
 		}
-		net.Hosts[src].Inject(net.NewPacket(src, dst, 32, true))
+		net.Hosts[src].Send(dst, 32, true)
 	}
 	if err := net.Drain(); err != nil {
 		t.Fatal(err)
@@ -53,7 +53,7 @@ func TestUtilizationSummary(t *testing.T) {
 		if src == dst {
 			dst = (dst + 1) % hosts
 		}
-		net.Hosts[src].Inject(net.NewPacket(src, dst, 32, false))
+		net.Hosts[src].Send(dst, 32, false)
 	}
 	if err := net.Drain(); err != nil {
 		t.Fatal(err)
@@ -95,7 +95,7 @@ func TestRootCongestionVisibleInUtilization(t *testing.T) {
 			if src == dst {
 				dst = (dst + 1) % hosts
 			}
-			net.Hosts[src].Inject(net.NewPacket(src, dst, 32, adaptive))
+			net.Hosts[src].Send(dst, 32, adaptive)
 		}
 		if err := net.Drain(); err != nil {
 			t.Fatal(err)

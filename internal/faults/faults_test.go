@@ -306,7 +306,7 @@ func TestDeadlockFailsLoudly(t *testing.T) {
 	}
 	dog := faults.NewWatchdog(net, faults.WatchdogConfig{SampleEvery: 1_000, Horizon: 50_000})
 	dog.Start()
-	net.Hosts[0].Inject(net.NewPacket(0, 4, 32, false)) // must cross the dead link
+	net.Hosts[0].Send(4, 32, false) // must cross the dead link
 	net.Engine.Run(1_000_000)
 
 	if net.InFlight() == 0 {

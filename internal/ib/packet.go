@@ -39,11 +39,6 @@ type Packet struct {
 	// drops the packet and the source re-injects it, Attempts grows by
 	// one. Zero for packets that never met a fault.
 	Attempts int
-
-	// QueuedAt is when the packet last entered its source queue
-	// (initial injection or a retry); the host's send timeout is
-	// measured against it.
-	QueuedAt sim.Time
 }
 
 // Credits returns the flow-control credits the packet consumes.

@@ -10,7 +10,7 @@ import "fmt"
 type SLtoVLTable struct {
 	numPorts int
 	numSLs   int
-	vl       []int // [inPort][outPort][sl] flattened
+	vl       []uint8 // [inPort][outPort][sl] flattened; every VL is below MaxVLs
 }
 
 // NewSLtoVLTable builds a table for a switch with numPorts ports,
@@ -24,12 +24,12 @@ func NewSLtoVLTable(numPorts, numSLs, numVLs int) (*SLtoVLTable, error) {
 	t := &SLtoVLTable{
 		numPorts: numPorts,
 		numSLs:   numSLs,
-		vl:       make([]int, numPorts*numPorts*numSLs),
+		vl:       make([]uint8, numPorts*numPorts*numSLs),
 	}
 	for in := 0; in < numPorts; in++ {
 		for out := 0; out < numPorts; out++ {
 			for sl := 0; sl < numSLs; sl++ {
-				t.vl[t.index(in, out, sl)] = sl % numVLs
+				t.vl[t.index(in, out, sl)] = uint8(sl % numVLs)
 			}
 		}
 	}
@@ -55,7 +55,7 @@ func (t *SLtoVLTable) Set(in, out, sl, vl int) error {
 	if vl < 0 || vl >= MaxVLs {
 		return fmt.Errorf("ib: VL %d out of range", vl)
 	}
-	t.vl[t.index(in, out, sl)] = vl
+	t.vl[t.index(in, out, sl)] = uint8(vl)
 	return nil
 }
 
@@ -65,5 +65,5 @@ func (t *SLtoVLTable) VL(in, out, sl int) (int, error) {
 	if err := t.check(in, out, sl); err != nil {
 		return 0, err
 	}
-	return t.vl[t.index(in, out, sl)], nil
+	return int(t.vl[t.index(in, out, sl)]), nil
 }

@@ -139,8 +139,8 @@ func (c *Collector) Finalize() {
 	}
 }
 
-func (c *Collector) onCreated(p *ib.Packet) {
-	if p.CreatedAt >= c.WarmupEnd && p.CreatedAt < c.MeasureEnd {
+func (c *Collector) onCreated(_ uint64, _, _ int, _ bool, at sim.Time) {
+	if at >= c.WarmupEnd && at < c.MeasureEnd {
 		c.CreatedCount++
 	}
 }

@@ -363,7 +363,7 @@ func TestReconfigureKeepsMixedSubnetFence(t *testing.T) {
 			if src == dst {
 				dst = (dst + 1) % hosts
 			}
-			net.Hosts[src].Inject(net.NewPacket(src, dst, 32, rng.Bool(0.6)))
+			net.Hosts[src].Send(dst, 32, rng.Bool(0.6))
 		}
 		if err := net.Drain(); err != nil {
 			t.Fatalf("staged=%v: %v", staged, err)

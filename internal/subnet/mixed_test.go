@@ -68,7 +68,7 @@ func TestMixedPopulationTrafficDrains(t *testing.T) {
 		if src == dst {
 			dst = (dst + 1) % hosts
 		}
-		net.Hosts[src].Inject(net.NewPacket(src, dst, 32, rng.Bool(0.6)))
+		net.Hosts[src].Send(dst, 32, rng.Bool(0.6))
 	}
 	if err := net.Drain(); err != nil {
 		t.Fatal(err)
@@ -99,7 +99,7 @@ func TestMixedPopulationOnlyEnhancedAdapt(t *testing.T) {
 		if src == dst {
 			dst = (dst + 1) % hosts
 		}
-		net.Hosts[src].Inject(net.NewPacket(src, dst, 32, true))
+		net.Hosts[src].Send(dst, 32, true)
 	}
 	if err := net.Drain(); err != nil {
 		t.Fatal(err)

@@ -80,7 +80,7 @@ func TestMultipathTrafficDrainsAndUsesAlternatives(t *testing.T) {
 		if src == dst {
 			dst = (dst + 1) % hosts
 		}
-		net.Hosts[src].Inject(net.NewPacket(src, dst, 32, false))
+		net.Hosts[src].Send(dst, 32, false)
 	}
 	if err := net.Drain(); err != nil {
 		t.Fatal(err)
@@ -118,7 +118,7 @@ func TestMultipathOverloadDrains(t *testing.T) {
 		if src == dst {
 			dst = (dst + 1) % hosts
 		}
-		net.Hosts[src].Inject(net.NewPacket(src, dst, 256, false))
+		net.Hosts[src].Send(dst, 256, false)
 	}
 	if err := net.Drain(); err != nil {
 		t.Fatal(err)

@@ -72,7 +72,7 @@ func TestTrafficSurvivesReconfiguration(t *testing.T) {
 			if src == dst {
 				dst = (dst + 1) % hosts
 			}
-			net.Hosts[src].Inject(net.NewPacket(src, dst, 32, rng.Bool(0.5)))
+			net.Hosts[src].Send(dst, 32, rng.Bool(0.5))
 		}
 	}
 
@@ -120,7 +120,7 @@ func TestReconfigureMultipleFailures(t *testing.T) {
 		if src == dst {
 			dst = (dst + 1) % hosts
 		}
-		net.Hosts[src].Inject(net.NewPacket(src, dst, 32, true))
+		net.Hosts[src].Send(dst, 32, true)
 	}
 	if err := net.Drain(); err != nil {
 		t.Fatal(err)

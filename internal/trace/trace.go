@@ -99,11 +99,11 @@ func (r *Recorder) Attach(net *fabric.Network) {
 	prevCreated := net.OnCreated
 	prevDelivered := net.OnDelivered
 	prevHop := net.OnHop
-	net.OnCreated = func(p *ib.Packet) {
+	net.OnCreated = func(id uint64, src, dst int, adaptive bool, at sim.Time) {
 		if prevCreated != nil {
-			prevCreated(p)
+			prevCreated(id, src, dst, adaptive, at)
 		}
-		r.record(Event{At: p.CreatedAt, Kind: Created, Packet: p.ID, Src: p.Src, Dst: p.Dst})
+		r.record(Event{At: at, Kind: Created, Packet: id, Src: src, Dst: dst})
 	}
 	net.OnDelivered = func(p *ib.Packet) {
 		if prevDelivered != nil {

@@ -38,8 +38,13 @@ func tracedNet(t *testing.T, capacity int) (*fabric.Network, *Recorder) {
 
 func TestRecorderCapturesLifecycle(t *testing.T) {
 	net, rec := tracedNet(t, 1024)
-	pkt := net.NewPacket(0, 31, 32, true)
-	net.Hosts[0].Inject(pkt)
+	var pkt *ib.Packet
+	traced := net.OnDelivered
+	net.OnDelivered = func(p *ib.Packet) {
+		traced(p)
+		pkt = p
+	}
+	net.Hosts[0].Send(31, 32, true)
 	if err := net.Drain(); err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +79,7 @@ func TestRecorderRingEviction(t *testing.T) {
 		if dst == src {
 			dst = (dst + 1) % 32
 		}
-		net.Hosts[src].Inject(net.NewPacket(src, dst, 32, true))
+		net.Hosts[src].Send(dst, 32, true)
 	}
 	if err := net.Drain(); err != nil {
 		t.Fatal(err)
@@ -97,7 +102,7 @@ func TestRecorderRingEviction(t *testing.T) {
 func TestRecorderFilter(t *testing.T) {
 	net, rec := tracedNet(t, 1024)
 	rec.Filter = func(e Event) bool { return e.Kind == Delivered }
-	net.Hosts[0].Inject(net.NewPacket(0, 31, 32, false))
+	net.Hosts[0].Send(31, 32, false)
 	if err := net.Drain(); err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +120,7 @@ func TestRecorderChainsExistingCallbacks(t *testing.T) {
 	// recorder on top and verify both see events.
 	rec2 := NewRecorder(16)
 	rec2.Attach(net)
-	net.Hosts[0].Inject(net.NewPacket(0, 31, 32, true))
+	net.Hosts[0].Send(31, 32, true)
 	if err := net.Drain(); err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +138,7 @@ func TestAdaptiveShare(t *testing.T) {
 		if dst == src {
 			dst = (dst + 1) % 32
 		}
-		net.Hosts[src].Inject(net.NewPacket(src, dst, 32, true))
+		net.Hosts[src].Send(dst, 32, true)
 	}
 	if err := net.Drain(); err != nil {
 		t.Fatal(err)
@@ -146,7 +151,7 @@ func TestAdaptiveShare(t *testing.T) {
 
 func TestDumpFormat(t *testing.T) {
 	net, rec := tracedNet(t, 64)
-	net.Hosts[0].Inject(net.NewPacket(0, 31, 32, true))
+	net.Hosts[0].Send(31, 32, true)
 	if err := net.Drain(); err != nil {
 		t.Fatal(err)
 	}

@@ -129,8 +129,7 @@ func (hs *hostStream) generate() {
 	}
 	if dst := g.cfg.Pattern.Dest(hs.host.ID(), &hs.rng); dst >= 0 {
 		adaptive := hs.rng.Bool(g.cfg.AdaptiveFraction)
-		pkt := g.net.NewPacket(hs.host.ID(), dst, g.cfg.PacketSize, adaptive)
-		hs.host.Inject(pkt)
+		hs.host.Send(dst, g.cfg.PacketSize, adaptive)
 		hs.generated++
 	}
 	eng.Schedule(hs.rng.ExpTime(hs.mean), hs.fire)

@@ -6,6 +6,7 @@ import (
 
 	"ibasim/internal/fabric"
 	"ibasim/internal/ib"
+	"ibasim/internal/sim"
 	"ibasim/internal/subnet"
 	"ibasim/internal/topology"
 )
@@ -56,9 +57,9 @@ func TestGeneratorRateMatchesLoad(t *testing.T) {
 func TestGeneratorAdaptiveFraction(t *testing.T) {
 	net := testNet(t, 4)
 	adaptive, total := 0, 0
-	net.OnCreated = func(p *ib.Packet) {
+	net.OnCreated = func(_ uint64, _, _ int, isAdaptive bool, _ sim.Time) {
 		total++
-		if p.Adaptive {
+		if isAdaptive {
 			adaptive++
 		}
 	}

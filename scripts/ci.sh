@@ -21,7 +21,9 @@ go test -shuffle=on ./...
 echo "==> alloc-regression gates (hot path must not allocate)"
 # The always-on auditor's cheap hooks ride the same runs: this gate
 # also proves they keep the steady-state injection path allocation-free.
-go test -run 'ZeroAllocs' -v ./internal/core/ ./internal/sim/ ./internal/fabric/ ./internal/check/
+# SendBacklog bounds the bytes a packet costs while it waits in its
+# source queue.
+go test -run 'ZeroAllocs|SendBacklog' -v ./internal/core/ ./internal/sim/ ./internal/fabric/ ./internal/check/
 
 echo "==> determinism golden"
 go test -run 'TestFigure3Deterministic' -v ./internal/experiments/
